@@ -22,18 +22,16 @@
 //! [nrows × u32 key end-offset LE][key bytes][column pages (spill::write_batch)]
 //! ```
 //!
-//! Key end-offsets are all zero on the legacy (non-codec) path; on the
-//! codec path each key is the decorated normalized key (`key ‖
-//! big-endian seq`), so a merge compares one byte slice per heap step
-//! exactly like the in-memory [`crate::sortkernel::merge_runs`]. Rows
+//! Each key is the decorated normalized key (`key ‖ big-endian seq`), so
+//! a merge compares one byte slice per heap step exactly like the
+//! in-memory [`crate::sortkernel::merge_runs`]. Rows
 //! serialize as batch column pages rather than per-row `Value` serde,
 //! amortizing one encode/decode over the whole group.
 
-use crate::sortkernel::{self, cmp_rows, SortKeys, SortedRun};
+use crate::sortkernel::{self, SortKeys, SortedRun};
 use fto_common::{row_bytes, Batch, Row};
 use fto_planner::cost::MERGE_FAN_IN;
 use fto_storage::{spill, IoStats, SpillCursor, SpillFile};
-use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// How many rows each spilled run record groups together.
@@ -48,7 +46,7 @@ pub(crate) struct RunExtent {
 
 /// Appends one run group record to `file` (see the module docs for the
 /// format), reusing `payload` as scratch. `rows`, `seqs`, and `keys`
-/// run parallel; keys are empty slices on the legacy path.
+/// run parallel.
 fn append_run_group(
     file: &mut SpillFile,
     payload: &mut Vec<u8>,
@@ -85,9 +83,7 @@ fn spill_sorted_run(file: &mut SpillFile, run: &SortedRun, io: &mut IoStats) -> 
     let mut at = 0;
     while at < n {
         let end = (at + RUN_GROUP_ROWS).min(n);
-        let keys: Vec<&[u8]> = (at..end)
-            .map(|i| run.enc.get(i).map(Vec::as_slice).unwrap_or(&[]))
-            .collect();
+        let keys: Vec<&[u8]> = run.enc[at..end].iter().map(Vec::as_slice).collect();
         append_run_group(
             file,
             &mut payload,
@@ -108,7 +104,7 @@ fn spill_sorted_run(file: &mut SpillFile, run: &SortedRun, io: &mut IoStats) -> 
 struct Head {
     row: Row,
     seq: u64,
-    /// Decorated normalized key; empty on the legacy path.
+    /// Decorated normalized key (`key ‖ big-endian seq`).
     key: Vec<u8>,
 }
 
@@ -183,11 +179,10 @@ impl RunMerge {
     }
 
     /// Pops the minimum head by `(keys, seq)` and refills it from its
-    /// cursor. Runs that both carry stored keys compare by memcmp (the
-    /// seq suffix embedded in the key decides ties); otherwise the
-    /// `Value` comparator with the explicit seq tiebreak — the same
-    /// contract as the in-memory merge.
-    fn next_head(&mut self, file: &SpillFile, keys: &SortKeys, io: &mut IoStats) -> Option<Head> {
+    /// cursor. Heads compare by memcmp on their stored keys (the seq
+    /// suffix embedded in the key decides ties) — the same contract as
+    /// the in-memory merge.
+    fn next_head(&mut self, file: &SpillFile, io: &mut IoStats) -> Option<Head> {
         let mut best: Option<usize> = None;
         let mut cmps = 0u64;
         for (k, head) in self.heads.iter().enumerate() {
@@ -197,12 +192,7 @@ impl RunMerge {
                 Some(b) => {
                     let bh = self.heads[b].as_ref().expect("best head vacated");
                     cmps += 1;
-                    let less = if !h.key.is_empty() && !bh.key.is_empty() {
-                        h.key < bh.key
-                    } else {
-                        cmp_rows(&h.row, &bh.row, keys).then(h.seq.cmp(&bh.seq)) == Ordering::Less
-                    };
-                    if less {
+                    if h.key < bh.key {
                         Some(k)
                     } else {
                         Some(b)
@@ -224,7 +214,6 @@ impl RunMerge {
 fn reduce_to_fan_in(
     file: &mut SpillFile,
     mut extents: Vec<RunExtent>,
-    keys: &SortKeys,
     io: &mut IoStats,
 ) -> Vec<RunExtent> {
     while extents.len() > MERGE_FAN_IN {
@@ -252,7 +241,7 @@ fn reduce_to_fan_in(
                 gseqs.clear();
                 gkeys.clear();
             };
-            while let Some(h) = merge.next_head(file, keys, io) {
+            while let Some(h) = merge.next_head(file, io) {
                 grows.push(h.row);
                 gseqs.push(h.seq);
                 gkeys.push(h.key);
@@ -283,8 +272,8 @@ pub(crate) struct SpilledSort {
 impl SpilledSort {
     /// The next row of the merged (fully sorted) output, or `None` when
     /// every run is drained.
-    pub(crate) fn next_row(&mut self, keys: &SortKeys, io: &mut IoStats) -> Option<Row> {
-        self.merge.next_head(&self.file, keys, io).map(|h| h.row)
+    pub(crate) fn next_row(&mut self, io: &mut IoStats) -> Option<Row> {
+        self.merge.next_head(&self.file, io).map(|h| h.row)
     }
 }
 
@@ -298,17 +287,16 @@ pub(crate) enum FinishedSort {
 }
 
 /// Row-granular run formation for the bounded sort. The working set —
-/// buffered rows ([`fto_common::row_bytes`]) plus their decorated keys on
-/// the codec path — never exceeds `max(budget, one row)`; crossing the
-/// budget seals the buffer into a sorted, spilled run.
+/// buffered rows ([`fto_common::row_bytes`]) plus their decorated keys —
+/// never exceeds `max(budget, one row)`; crossing the budget seals the
+/// buffer into a sorted, spilled run.
 pub(crate) struct RunFormer {
     budget: usize,
-    codec: bool,
     keys: SortKeys,
     file: SpillFile,
     extents: Vec<RunExtent>,
     rows: Vec<Row>,
-    /// Key arena for the buffered rows (codec path): row `i`'s normalized
+    /// Key arena for the buffered rows: row `i`'s normalized
     /// key is `key_bytes[key_offsets[i]..key_offsets[i + 1]]`.
     key_bytes: Vec<u8>,
     key_offsets: Vec<usize>,
@@ -319,10 +307,9 @@ pub(crate) struct RunFormer {
 }
 
 impl RunFormer {
-    pub(crate) fn new(budget: usize, codec: bool, keys: SortKeys) -> RunFormer {
+    pub(crate) fn new(budget: usize, keys: SortKeys) -> RunFormer {
         RunFormer {
             budget,
-            codec,
             keys,
             file: SpillFile::new(),
             extents: Vec::new(),
@@ -335,21 +322,18 @@ impl RunFormer {
         }
     }
 
-    /// Buffers one input row (with its arena-encoded normalized key on
-    /// the codec path), sealing the current run first when the row would
-    /// push the working set past the budget.
-    pub(crate) fn push(&mut self, row: Row, key: Option<&[u8]>, io: &mut IoStats) {
-        debug_assert_eq!(key.is_some(), self.codec);
+    /// Buffers one input row with its arena-encoded normalized key,
+    /// sealing the current run first when the row would push the working
+    /// set past the budget.
+    pub(crate) fn push(&mut self, row: Row, key: &[u8], io: &mut IoStats) {
         // The decorated key a sealed run stores is `key ‖ 8-byte seq`.
-        let cost = row_bytes(&row) + key.map_or(0, |k| k.len() + 8);
+        let cost = row_bytes(&row) + key.len() + 8;
         if !self.rows.is_empty() && self.bytes + cost > self.budget {
             self.seal(io);
         }
         self.bytes += cost;
-        if let Some(k) = key {
-            self.key_bytes.extend_from_slice(k);
-            self.key_offsets.push(self.key_bytes.len());
-        }
+        self.key_bytes.extend_from_slice(key);
+        self.key_offsets.push(self.key_bytes.len());
         self.rows.push(row);
         self.next_seq += 1;
     }
@@ -363,19 +347,8 @@ impl RunFormer {
         }
         let rows = std::mem::take(&mut self.rows);
         io.sort_rows += rows.len() as u64;
-        let run = if self.codec {
-            let mut run = sortkernel::sort_run_arena(rows, &self.key_bytes, &self.key_offsets);
-            run.shift(self.base_seq);
-            run
-        } else {
-            sortkernel::sort_tagged(
-                rows.into_iter()
-                    .enumerate()
-                    .map(|(i, r)| (self.base_seq + i as u64, r))
-                    .collect(),
-                &self.keys,
-            )
-        };
+        let mut run = sortkernel::sort_run_arena(rows, &self.key_bytes, &self.key_offsets);
+        run.shift(self.base_seq);
         let extent = spill_sorted_run(&mut self.file, &run, io);
         self.extents.push(extent);
         sortkernel::note_spill_runs(1);
@@ -387,28 +360,19 @@ impl RunFormer {
     }
 
     /// Ends the input. When nothing spilled, the buffer is sorted in
-    /// memory exactly as the unbounded operator would (arena kernel on
-    /// the codec path, comparator otherwise). Otherwise the tail seals as
+    /// memory exactly as the unbounded operator would (the arena
+    /// kernel). Otherwise the tail seals as
     /// the last run, runs reduce to the merge fan-in, and the final
     /// streaming merge — itself one pass — takes over.
     pub(crate) fn finish(mut self, io: &mut IoStats) -> FinishedSort {
         if self.extents.is_empty() {
             let mut rows = std::mem::take(&mut self.rows);
             io.sort_rows += rows.len() as u64;
-            if self.codec {
-                sortkernel::sort_rows_arena(
-                    &mut rows,
-                    &self.key_bytes,
-                    &self.key_offsets,
-                    &self.keys,
-                );
-            } else {
-                sortkernel::sort_rows_with(&mut rows, &self.keys, false);
-            }
+            sortkernel::sort_rows_arena(&mut rows, &self.key_bytes, &self.key_offsets, &self.keys);
             return FinishedSort::InMemory(rows);
         }
         self.seal(io);
-        let extents = reduce_to_fan_in(&mut self.file, self.extents, &self.keys, io);
+        let extents = reduce_to_fan_in(&mut self.file, self.extents, io);
         sortkernel::note_merge_pass();
         let merge = RunMerge::new(&self.file, &extents, io);
         FinishedSort::Spilled(SpilledSort {
@@ -427,24 +391,21 @@ mod tests {
         vec![Value::Int(k), Value::Str(v.into())].into_boxed_slice()
     }
 
-    fn drive(budget: usize, codec: bool, n: i64) -> (Vec<Row>, IoStats) {
+    fn drive(budget: usize, n: i64) -> (Vec<Row>, IoStats) {
         let keys: SortKeys = vec![(0, Direction::Desc), (1, Direction::Asc)];
         let mut io = IoStats::new();
-        let mut former = RunFormer::new(budget, codec, keys.clone());
+        let mut former = RunFormer::new(budget, keys.clone());
         for i in 0..n {
             let r = row(i % 7, &format!("row-{i}"));
-            let key: Option<Vec<u8>> = codec.then(|| {
-                let mut k = Vec::new();
-                fto_common::sortkey::encode_key_into(&r, &keys, &mut k);
-                k
-            });
-            former.push(r, key.as_deref(), &mut io);
+            let mut key = Vec::new();
+            fto_common::sortkey::encode_key_into(&r, &keys, &mut key);
+            former.push(r, &key, &mut io);
         }
         let mut out = Vec::new();
         match former.finish(&mut io) {
             FinishedSort::InMemory(rows) => out = rows,
             FinishedSort::Spilled(mut s) => {
-                while let Some(r) = s.next_row(&keys, &mut io) {
+                while let Some(r) = s.next_row(&mut io) {
                     out.push(r);
                 }
             }
@@ -452,19 +413,25 @@ mod tests {
         (out, io)
     }
 
+    /// Both paths: the spilled external merge and the in-memory sort it
+    /// falls back to when nothing spills.
     #[test]
     fn spilled_sort_matches_in_memory_both_paths() {
-        let (unbounded, io0) = drive(usize::MAX, true, 500);
+        let (unbounded, io0) = drive(usize::MAX, 500);
         assert_eq!(io0.spill_pages_written, 0);
-        for codec in [false, true] {
-            for budget in [1usize, 512, 4096, 1 << 20] {
-                let (got, io) = drive(budget, codec, 500);
-                assert_eq!(got, unbounded, "codec={codec} budget={budget}");
-                assert_eq!(io.sort_rows, 500, "sort_rows must match unbounded");
-                if budget < 4096 {
-                    assert!(io.spill_pages_written > 0, "budget={budget} must spill");
-                    assert!(io.spill_pages_read > 0, "budget={budget} must read back");
-                }
+        let mut expected = unbounded.clone();
+        expected.sort_by(|a, b| b[0].total_cmp(&a[0]).then_with(|| a[1].total_cmp(&b[1])));
+        assert_eq!(
+            unbounded, expected,
+            "in-memory path must be the stable sort"
+        );
+        for budget in [1usize, 512, 4096, 1 << 20] {
+            let (got, io) = drive(budget, 500);
+            assert_eq!(got, unbounded, "budget={budget}");
+            assert_eq!(io.sort_rows, 500, "sort_rows must match unbounded");
+            if budget < 4096 {
+                assert!(io.spill_pages_written > 0, "budget={budget} must spill");
+                assert!(io.spill_pages_read > 0, "budget={budget} must read back");
             }
         }
     }
@@ -472,7 +439,7 @@ mod tests {
     #[test]
     fn tiny_budget_forms_many_runs_and_multi_passes() {
         let before = sortkernel::spill_stats_snapshot();
-        let (out, io) = drive(1, true, 200);
+        let (out, io) = drive(1, 200);
         let delta = sortkernel::spill_stats_snapshot().delta_since(before);
         assert_eq!(out.len(), 200);
         // One row per run: 200 runs need ceil(log_8 200) = 3 passes. Other

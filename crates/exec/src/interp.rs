@@ -7,13 +7,20 @@
 //! and the streaming executor in [`crate::stream`] and require identical
 //! rows. New code should go through [`crate::Session`] or
 //! [`crate::execute_plan`], which use the streaming engine.
+//!
+//! To stay an independent oracle it shares no ordering code with the
+//! executor: sorts and top-N are a plain stable `sort_by` on
+//! [`cmp_rows`], and merge-join tie groups compare `Value`s directly,
+//! where the executor orders by normalized-key bytes
+//! ([`crate::sortkernel`]).
 
-use fto_common::{sortkey, Direction, FtoError, Result, Row, Value};
+use fto_common::{Direction, FtoError, Result, Row, Value};
 use fto_expr::{AggCall, RowLayout};
 use fto_order::OrderSpec;
 use fto_planner::{Plan, PlanNode, ScanRange};
 use fto_qgm::QueryGraph;
 use fto_storage::{Database, IoStats, PageCursor};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -346,11 +353,12 @@ fn exec(db: &Database, graph: &QueryGraph, plan: &Plan, io: &mut IoStats) -> Res
             Ok(rows)
         }
         PlanNode::TopN { input, spec, n } => {
-            let rows = exec(db, graph, input, io)?;
-            let keys = crate::sortkernel::resolve_keys(spec, &input.layout)?;
-            let top = crate::sortkernel::top_n(rows, &keys, *n as usize);
-            io.sort_rows += top.len() as u64;
-            Ok(top)
+            // Top-N is, by definition, the prefix of the stable sort.
+            let mut rows = exec(db, graph, input, io)?;
+            sort_rows(&mut rows, spec, &input.layout)?;
+            rows.truncate(*n as usize);
+            io.sort_rows += rows.len() as u64;
+            Ok(rows)
         }
     }
 }
@@ -383,9 +391,22 @@ pub(crate) fn concat(a: &Row, b: &Row) -> Row {
     a.iter().chain(b.iter()).cloned().collect()
 }
 
-pub(crate) fn sort_rows(rows: &mut Vec<Row>, spec: &OrderSpec, layout: &RowLayout) -> Result<()> {
+/// Compares two rows by resolved sort keys: each key column through
+/// [`Direction::apply`], NULLs per [`Value::total_cmp`].
+fn cmp_rows(a: &Row, b: &Row, keys: &[(usize, Direction)]) -> Ordering {
+    for &(pos, dir) in keys {
+        let ord = dir.apply(a[pos].total_cmp(&b[pos]));
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
+/// Stably sorts `rows` by `spec` (ties keep input order).
+fn sort_rows(rows: &mut [Row], spec: &OrderSpec, layout: &RowLayout) -> Result<()> {
     let keys = crate::sortkernel::resolve_keys(spec, layout)?;
-    crate::sortkernel::sort_rows(rows, &keys);
+    rows.sort_by(|a, b| cmp_rows(a, b, &keys));
     Ok(())
 }
 
@@ -489,11 +510,11 @@ fn merge_join(
     let key_cmp = |orow: &Row, irow: &Row| {
         for (&op, &ip) in opos.iter().zip(&ipos) {
             let ord = orow[op].total_cmp(&irow[ip]);
-            if ord != std::cmp::Ordering::Equal {
+            if ord != Ordering::Equal {
                 return ord;
             }
         }
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     };
     let mut out = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
@@ -508,33 +529,20 @@ fn merge_join(
             continue;
         }
         match key_cmp(&outer[i], &inner[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Find the extent of the tie group on both sides by
-                // encoding the current group's key once and extending
-                // while candidates' encodings memcmp-equal it (same
-                // outcome as the per-column `Value` walk — the codec is
-                // order-preserving and injective up to `total_cmp`
-                // equality).
-                let okeys: Vec<(usize, Direction)> =
-                    opos.iter().map(|&p| (p, Direction::Asc)).collect();
-                let ikeys: Vec<(usize, Direction)> =
-                    ipos.iter().map(|&p| (p, Direction::Asc)).collect();
-                let lead = sortkey::encode_key(&outer[i], &okeys);
-                let mut scratch = Vec::new();
-                let mut tied = |row: &Row, keys: &[(usize, Direction)]| {
-                    scratch.clear();
-                    sortkey::encode_key_into(row, keys, &mut scratch);
-                    scratch == lead
-                };
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                // The tie group on each side: the rows whose key compares
+                // equal to the current inner row's, by the `Value` walk.
+                let lead = &inner[j];
                 let i_end = (i..outer.len())
-                    .take_while(|&x| tied(&outer[x], &okeys))
+                    .take_while(|&x| key_cmp(&outer[x], lead) == Ordering::Equal)
                     .last()
                     .unwrap()
                     + 1;
+                let lead = &outer[i];
                 let j_end = (j..inner.len())
-                    .take_while(|&y| tied(&inner[y], &ikeys))
+                    .take_while(|&y| key_cmp(lead, &inner[y]) == Ordering::Equal)
                     .last()
                     .unwrap()
                     + 1;

@@ -17,15 +17,13 @@
 //!   produce. The only general pipeline breaker is the in-memory sort;
 //!   hash group-by and Top-N are inherently blocking, and joins
 //!   materialize only their build side.
-//! * [`sortkernel`] — the shared decorate–sort–undecorate sort kernel
-//!   (stable sorts, Top-N selection, order-preserving K-way merge of
-//!   sorted runs) used by both engines and by the exchange layer. Its
-//!   stability/tie-order contract is what makes parallel merges
-//!   deterministic. With [`fto_planner::OptimizerConfig::sort_key_codec`]
-//!   on (the default) it decorates rows with normalized binary sort keys
+//! * [`sortkernel`] — the executor's sort kernel (stable sorts, Top-N
+//!   selection, order-preserving K-way merge of sorted runs), used by the
+//!   streaming operators, the external sort, and the exchange layer. It
+//!   decorates rows with normalized binary sort keys
 //!   (`fto_common::sortkey`) and sorts/merges by `memcmp`, with an MSB
-//!   radix path for fixed-width keys; output is bit-identical to the
-//!   legacy `Value`-comparator path.
+//!   radix path for fixed-width keys. Its stability/tie-order contract
+//!   is what makes parallel merges deterministic.
 //! * [`parallel`] — the exchange layer. At parallel degree `p > 1`,
 //!   lowering fans partitionable pipeline segments out over `p`
 //!   `std::thread` workers: `Gather` concatenates partition outputs in
@@ -34,8 +32,9 @@
 //!   serial stream round-robin to parallel bucket sorts. Results are
 //!   bit-identical to serial execution at every degree.
 //! * [`interp`] — the original fully materializing interpreter, kept as
-//!   the reference engine. The differential test suite runs every query
-//!   through both engines and requires identical rows in identical order.
+//!   the reference engine. It sorts with its own `Value` comparator, not
+//!   the kernel. The differential test suite runs every query through
+//!   both engines and requires identical rows in identical order.
 //! * [`session`] — [`Session`] / [`PreparedQuery`] / [`QueryOutput`]:
 //!   `Session::new(&db).config(cfg).plan(sql)?.execute()?`.
 //! * [`metrics`] — per-operator observability. Executing through
@@ -59,7 +58,6 @@ pub mod interp;
 pub mod metrics;
 pub mod obs;
 pub mod parallel;
-pub(crate) mod rowshim;
 pub mod session;
 pub mod sortkernel;
 pub mod stream;

@@ -23,11 +23,11 @@
 //!   partition k of a scan *is* segment k of the serial emission order
 //!   (reverse index scans map partitions accordingly) — so a gather
 //!   reproduces the serial stream exactly.
-//! * [`MergeExchangeOp`] has each worker stably sort its run with the
-//!   shared kernel, then K-way merges by `(keys, seq)` where run k's
-//!   sequence tags occupy the interval of serial positions its partition
-//!   covered — reproducing the serial stable sort
-//!   ([`crate::sortkernel::SortedRun::from_contiguous`]).
+//! * [`MergeExchangeOp`] has each worker sort its run with the kernel,
+//!   tagged with local positions, then K-way merges by `(keys, seq)`
+//!   after rebasing run k's tags onto the interval of serial positions
+//!   its partition covered ([`crate::sortkernel::SortedRun::shift`]) —
+//!   reproducing the serial stable sort.
 //! * [`RepartitionSortOp`] handles non-partitionable sort inputs: the
 //!   coordinator drains the child serially, deals rows round-robin
 //!   tagging each with its global position, workers sort buckets by
@@ -97,8 +97,7 @@ where
     // sub-budgets of `budget / P` (at least one byte), so P bounded
     // partition pipelines together stay within the query's budget; each
     // worker context builds its own private pool from its share.
-    let (db, graph, batch_size, sort_key_codec) =
-        (cx.db, cx.graph, cx.batch_size, cx.sort_key_codec);
+    let (db, graph, batch_size) = (cx.db, cx.graph, cx.batch_size);
     let sub_budget = cx.memory_budget.map(|b| (b / parts).max(1));
     // Profiler lanes are allocated here on the coordinator, before any
     // worker spawns, so lane numbering reflects partition order — never
@@ -127,10 +126,8 @@ where
                         &ExecOptions {
                             batch_size,
                             threads: 1,
-                            sort_key_codec,
                             memory_budget: sub_budget,
-                            profiler: None,
-                            row_shim: false,
+                            ..ExecOptions::default()
                         },
                     );
                     let mut wio = IoStats::new();
@@ -275,19 +272,13 @@ impl MergeExchangeOp {
 impl Operator for MergeExchangeOp {
     fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
         let keys = &self.keys;
-        let codec = cx.sort_key_codec;
         // Each worker charges its run to `sort_rows` and sorts it inside
-        // the thread — the parallel half of the work. On the codec path
-        // the worker keeps its normalized keys (tagged with local
-        // positions) so the coordinator's merge is memcmp-only.
-        let runs = run_partitions(cx, &self.spec, |mut rows, wio| {
+        // the thread — the parallel half of the work — keeping its
+        // normalized keys (tagged with local positions) so the
+        // coordinator's merge is memcmp-only.
+        let runs = run_partitions(cx, &self.spec, |rows, wio| {
             wio.sort_rows += rows.len() as u64;
-            if codec {
-                sortkernel::sort_run_codec(rows, keys)
-            } else {
-                sortkernel::sort_rows(&mut rows, keys);
-                SortedRun::from_contiguous(rows, 0)
-            }
+            sortkernel::sort_run(rows, keys)
         })?;
         let mut workers = Vec::with_capacity(runs.len());
         let mut sorted = Vec::with_capacity(runs.len());
@@ -308,7 +299,7 @@ impl Operator for MergeExchangeOp {
             base += len;
         }
         record_workers(&self.own_slot, workers);
-        self.buf = sortkernel::merge_runs(sorted, &self.keys);
+        self.buf = sortkernel::merge_runs(sorted);
         self.pos = 0;
         Ok(())
     }
@@ -363,7 +354,6 @@ impl Operator for RepartitionSortOp {
             buckets[g % self.parts].push((g as u64, row));
         }
         let keys = &self.keys;
-        let codec = cx.sort_key_codec;
         // Lanes pre-allocated on the coordinator, as in run_partitions.
         let lane_base = cx
             .profiler
@@ -384,7 +374,7 @@ impl Operator for RepartitionSortOp {
                         });
                         profile::span_begin("exchange", || format!("bucket p{part}"));
                         let started = Instant::now();
-                        let run = sortkernel::sort_tagged_with(bucket, keys, codec);
+                        let run = sortkernel::sort_tagged_run(bucket, keys);
                         let elapsed = started.elapsed();
                         profile::span_end("exchange", || format!("bucket p{part}"));
                         (run, elapsed)
@@ -408,7 +398,7 @@ impl Operator for RepartitionSortOp {
             })
             .collect();
         record_workers(&self.own_slot, workers);
-        self.buf = sortkernel::merge_runs(runs.into_iter().map(|(run, _)| run).collect(), keys);
+        self.buf = sortkernel::merge_runs(runs.into_iter().map(|(run, _)| run).collect());
         self.pos = 0;
         Ok(())
     }
@@ -461,7 +451,6 @@ impl Operator for TopNExchangeOp {
     fn open(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) -> Result<()> {
         let keys = &self.keys;
         let n = self.n;
-        let codec = cx.sort_key_codec;
         let runs = run_partitions(cx, &self.spec, |rows, _| {
             let total = rows.len() as u64;
             let tagged: Vec<(u64, Row)> = rows
@@ -469,7 +458,7 @@ impl Operator for TopNExchangeOp {
                 .enumerate()
                 .map(|(i, r)| (i as u64, r))
                 .collect();
-            (sortkernel::top_n_run(tagged, keys, n, codec), total)
+            (sortkernel::top_n_run(tagged, keys, n), total)
         })?;
         let mut workers = Vec::with_capacity(runs.len());
         let mut sorted = Vec::with_capacity(runs.len());
@@ -490,7 +479,7 @@ impl Operator for TopNExchangeOp {
             base += drained;
         }
         record_workers(&self.own_slot, workers);
-        let mut merged = sortkernel::merge_runs(sorted, keys);
+        let mut merged = sortkernel::merge_runs(sorted);
         merged.truncate(n);
         // Charge what the serial operator charges: the surviving prefix.
         io.sort_rows += merged.len() as u64;

@@ -19,7 +19,10 @@ use crate::interp::run_plan_materialized;
 use crate::metrics::PlanMetrics;
 use crate::obs::Observability;
 use crate::sortkernel::{self, SegmentStats, SortStats, SpillStats};
-use crate::stream::{execute_plan, execute_plan_instrumented, Batch, ExecOptions, StreamResult};
+use crate::stream::{
+    execute_plan, execute_plan_instrumented, reject_retired_switches, Batch, ExecOptions,
+    StreamResult,
+};
 use fto_common::{Result, Row};
 use fto_obs::{ExecutionProfile, Profiler, Trace, TraceGuard};
 use fto_planner::{OptimizerConfig, Plan, Planner, PlannerStats};
@@ -175,6 +178,7 @@ impl<'db> Session<'db> {
         sql: Option<&str>,
         force_trace: bool,
     ) -> Result<PreparedQuery<'db>> {
+        reject_retired_switches(self.config.sort_key_codec, self.config.row_shim)?;
         let trace_on = force_trace
             || self
                 .obs
@@ -212,9 +216,7 @@ impl<'db> Session<'db> {
             planner: planner_stats,
             batch_size: self.config.batch_size,
             threads: self.config.threads,
-            sort_key_codec: self.config.sort_key_codec,
             memory_budget: self.config.memory_budget,
-            row_shim: self.config.row_shim,
             obs: self.obs.clone(),
             sql: sql.map(str::to_string),
             trace,
@@ -286,9 +288,7 @@ pub struct PreparedQuery<'db> {
     planner: PlannerStats,
     batch_size: usize,
     threads: usize,
-    sort_key_codec: bool,
     memory_budget: Option<usize>,
-    row_shim: bool,
     obs: Option<Observability>,
     sql: Option<String>,
     trace: Option<Trace>,
@@ -299,10 +299,8 @@ impl PreparedQuery<'_> {
         ExecOptions {
             batch_size: self.batch_size,
             threads: self.threads,
-            sort_key_codec: self.sort_key_codec,
             memory_budget: self.memory_budget,
-            profiler: None,
-            row_shim: self.row_shim,
+            ..ExecOptions::default()
         }
     }
 
@@ -396,9 +394,7 @@ impl PreparedQuery<'_> {
     /// observability registry: its I/O model would skew the `session.io`
     /// totals that reconcile against the streaming engine.
     pub fn execute_materialized(&self) -> Result<QueryOutput> {
-        let before = sortkernel::stats_snapshot();
         let result = run_plan_materialized(self.db, &self.graph, &self.plan)?;
-        let sort = sortkernel::stats_snapshot().delta_since(before);
         let batches = if result.rows.is_empty() {
             Vec::new()
         } else {
@@ -412,10 +408,12 @@ impl PreparedQuery<'_> {
             io: result.io,
             planner: self.planner,
             elapsed: result.elapsed,
-            sort,
-            // The reference interpreter ignores the budget (it exists to
-            // check rows, not memory), so it never spills — and it full-
-            // sorts segmented enforcers, so it never forms groups.
+            // The reference interpreter sorts with its own comparator, not
+            // the kernel, so it records no kernel statistics. It ignores
+            // the budget (it exists to check rows, not memory), so it
+            // never spills — and it full-sorts segmented enforcers, so it
+            // never forms groups.
+            sort: SortStats::default(),
             spill: SpillStats::default(),
             segment: SegmentStats::default(),
         })
@@ -636,6 +634,37 @@ mod tests {
         assert_eq!(out.num_rows(), 40);
         assert_eq!(out.rows()[0][0], fto_common::Value::Int(39));
         assert!(out.io.rows_read >= 40);
+    }
+
+    #[test]
+    fn retired_execution_switches_are_rejected() {
+        let db = db();
+        let sql = "select k, v from t order by v";
+        let prepared = Session::new(&db).plan(sql).unwrap();
+        for (sort_key_codec, row_shim) in [(false, false), (true, true), (false, true)] {
+            let mut config = OptimizerConfig::default();
+            (config.sort_key_codec, config.row_shim) = (sort_key_codec, row_shim);
+            let err = Session::new(&db).config(config).plan(sql).err();
+            assert!(
+                matches!(err, Some(fto_common::FtoError::Exec(_))),
+                "{err:?}"
+            );
+            let opts = ExecOptions {
+                sort_key_codec,
+                row_shim,
+                ..ExecOptions::default()
+            };
+            let (graph, plan) = (&prepared.graph, &prepared.plan);
+            assert!(execute_plan(&db, graph, plan, &opts).is_err());
+            assert!(execute_plan_instrumented(&db, graph, plan, &opts).is_err());
+        }
+        assert!(execute_plan(
+            &db,
+            &prepared.graph,
+            &prepared.plan,
+            &ExecOptions::default()
+        )
+        .is_ok());
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! The shared sort kernel: one implementation of row comparison, full
-//! sort, top-N selection, and order-preserving run merging, used by the
-//! materializing interpreter, the streaming executor, and the parallel
-//! exchange operators.
+//! The executor's sort kernel: full sort, top-N selection, and
+//! order-preserving run merging, used by the streaming operators, the
+//! external sort, and the parallel exchange operators.
 //!
 //! # Stability and tie-order contract
 //!
@@ -14,26 +13,21 @@
 //! This is not a cosmetic choice — it is the determinism anchor for the
 //! whole engine:
 //!
-//! * the differential suite requires the streaming and materializing
-//!   engines to emit bit-identical rows, which forces one tie order;
+//! * the differential suite requires the streaming executor and the
+//!   reference interpreter (which sorts with its own stable `Value`
+//!   comparator, not this kernel) to emit bit-identical rows, which
+//!   forces one tie order;
 //! * parallel execution splits the input into runs, sorts each run
 //!   independently, and merges; the merge reproduces the serial output
-//!   *only because* each run is stably sorted and [`merge_runs`] breaks
-//!   key ties by the runs' global sequence tags (or, absent tags, by run
-//!   index — valid whenever run `i` holds rows that precede run `i+1`'s
-//!   in the serial input).
+//!   *only because* each run is tagged with its rows' serial positions
+//!   and [`merge_runs`] breaks key ties by those tags.
 //!
-//! Sorting is decorate–sort–undecorate: key columns are extracted once
-//! per row into a contiguous key array, so comparisons during the sort
-//! touch only the extracted keys instead of re-indexing the full row per
-//! key column per comparison (the old `cmp_rows` pattern).
+//! # Normalized keys
 //!
-//! # Normalized-key (codec) path
-//!
-//! With `OptimizerConfig::sort_key_codec` on (the default), the kernel
-//! decorates each row once with its [`fto_common::sortkey`] encoding —
-//! an order-preserving byte string whose plain `&[u8]` comparison is
-//! bit-identical in outcome to the `Value` comparator — plus the row's
+//! The kernel decorates each row once with its [`fto_common::sortkey`]
+//! encoding — an order-preserving byte string whose plain `&[u8]`
+//! comparison is bit-identical in outcome to the `Value` comparator
+//! (property-tested in `fto_common::sortkey`) — plus the row's
 //! big-endian sequence tag as a suffix. Appending the tag makes every
 //! decorated key unique, so `sort_unstable` on plain byte strings *is*
 //! the stable sort the contract above demands (ties in the logical key
@@ -44,7 +38,7 @@
 //! byte position present in both encodings. When every decorated key in
 //! a sort has the same width (fixed-width key shapes: numerics, dates,
 //! bools, no NULLs), a byte-wise MSB radix sort replaces the comparison
-//! sort entirely.
+//! sort entirely. Empty sort keys leave the input order as is.
 //!
 //! The kernel keeps process-wide `sort.key_bytes` / `sort.comparisons`
 //! tallies (see [`stats_snapshot`]); sessions snapshot them around each
@@ -61,8 +55,8 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
 /// in this process.
 static KEY_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Cumulative count of key comparisons made by sort/merge operations in
-/// this process (byte-string comparisons on the codec path, `Value`
-/// comparisons on the legacy path; radix-distributed rows add none).
+/// this process (byte-string comparisons, plus the `Value` comparisons
+/// of the bounded Top-N's pruning; radix-distributed rows add none).
 static COMPARISONS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of (or delta between) the kernel's process-wide counters.
@@ -213,18 +207,6 @@ pub fn resolve_keys(spec: &OrderSpec, layout: &RowLayout) -> Result<SortKeys> {
         .collect()
 }
 
-/// Compares two rows by `keys` — the kernel's key ordering, exposed for
-/// callers that compare without decorating (e.g. run merging).
-pub fn cmp_rows(a: &Row, b: &Row, keys: &SortKeys) -> Ordering {
-    for &(pos, dir) in keys {
-        let ord = dir.apply(a[pos].total_cmp(&b[pos]));
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
 /// Extracted key columns for one row, compared positionally with the
 /// keys' directions.
 fn extract(row: &Row, keys: &SortKeys) -> Box<[Value]> {
@@ -241,39 +223,8 @@ fn cmp_extracted(a: &[Value], b: &[Value], keys: &SortKeys) -> Ordering {
     Ordering::Equal
 }
 
-/// Stably sorts `rows` by `keys` (ties keep input order) using
-/// decorate–sort–undecorate with the `Value` comparator — the legacy
-/// path, kept as the `sort_key_codec = off` reference.
-pub fn sort_rows(rows: &mut Vec<Row>, keys: &SortKeys) {
-    if rows.len() <= 1 || keys.is_empty() {
-        return;
-    }
-    let mut decorated: Vec<(Box<[Value]>, Row)> = std::mem::take(rows)
-        .into_iter()
-        .map(|row| (extract(&row, keys), row))
-        .collect();
-    let cmps = Cell::new(0u64);
-    decorated.sort_by(|a, b| {
-        cmps.set(cmps.get() + 1);
-        cmp_extracted(&a.0, &b.0, keys)
-    });
-    charge(0, cmps.get());
-    *rows = decorated.into_iter().map(|(_, row)| row).collect();
-}
-
-/// Stably sorts `rows` by `keys`, choosing the normalized-key codec path
-/// or the legacy `Value`-comparator path. Both produce bit-identical
-/// output.
-pub fn sort_rows_with(rows: &mut Vec<Row>, keys: &SortKeys, codec: bool) {
-    if codec {
-        sort_rows_codec(rows, keys);
-    } else {
-        sort_rows(rows, keys);
-    }
-}
-
 /// Encodes `row`'s normalized key under `keys` with `seq` appended
-/// big-endian — the decorated byte string the codec sort paths order by.
+/// big-endian — the decorated byte string the sort paths order by.
 fn encode_with_seq(row: &Row, keys: &SortKeys, seq: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(keys.len() * sortkey::NUMERIC_WIDTH + 8);
     sortkey::encode_key_into(row, keys, &mut buf);
@@ -281,65 +232,12 @@ fn encode_with_seq(row: &Row, keys: &SortKeys, seq: u64) -> Vec<u8> {
     buf
 }
 
-/// The codec sort: decorate each row once with `(normalized key ‖ seq)`,
-/// sort the byte strings (MSB radix when the keys are fixed-width,
-/// otherwise `sort_unstable` on memcmp), undecorate. Equivalent to the
-/// stable `Value` sort because the seq suffix resolves logical ties in
-/// input order.
-fn sort_rows_codec(rows: &mut Vec<Row>, keys: &SortKeys) {
-    if rows.len() <= 1 || keys.is_empty() {
-        return;
-    }
-    let mut bytes = 0u64;
-    let decorated: Vec<(Vec<u8>, Row)> = std::mem::take(rows)
-        .into_iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let key = encode_with_seq(&row, keys, i as u64);
-            bytes += key.len() as u64;
-            (key, row)
-        })
-        .collect();
-    charge(bytes, 0);
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    *rows = decorated.into_iter().map(|(_, row)| row).collect();
-}
-
-/// The codec sort for rows whose normalized keys were already encoded
-/// column-at-a-time ([`fto_common::column::encode_batch_keys`]): appends
-/// the big-endian seq suffix, charges `KEY_BYTES` exactly as
-/// [`sort_rows_codec`] (same bytes per row: key ‖ 8-byte seq), and sorts
-/// the decorated byte strings. `encs[i]` must be row `i`'s key encoding
-/// under the same `keys`; the columnar encoder is byte-identical to
-/// [`sortkey::encode_key_into`] by construction, so this path and the
-/// per-row codec path order identically.
-pub fn sort_rows_preencoded(rows: &mut Vec<Row>, encs: Vec<Vec<u8>>, keys: &SortKeys) {
-    if rows.len() <= 1 || keys.is_empty() {
-        return;
-    }
-    debug_assert_eq!(rows.len(), encs.len());
-    let mut bytes = 0u64;
-    let decorated: Vec<(Vec<u8>, Row)> = std::mem::take(rows)
-        .into_iter()
-        .zip(encs)
-        .enumerate()
-        .map(|(i, (row, mut key))| {
-            key.extend_from_slice(&(i as u64).to_be_bytes());
-            bytes += key.len() as u64;
-            (key, row)
-        })
-        .collect();
-    charge(bytes, 0);
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    *rows = decorated.into_iter().map(|(_, row)| row).collect();
-}
-
-/// The codec sort for rows whose normalized keys were encoded into one
+/// Stably sorts rows whose normalized keys were encoded into one
 /// contiguous arena ([`fto_common::column::encode_batch_keys_arena`]):
 /// row `i`'s key is `bytes[offsets[i]..offsets[i + 1]]`. Builds each
 /// decorated key (key ‖ 8-byte seq) in a single exactly-sized
-/// allocation, charges `KEY_BYTES` identically to [`sort_rows_codec`],
-/// and sorts the decorated byte strings.
+/// allocation, charges `KEY_BYTES` for it, and sorts the decorated byte
+/// strings. A no-op for empty `keys`.
 pub fn sort_rows_arena(rows: &mut Vec<Row>, bytes: &[u8], offsets: &[usize], keys: &SortKeys) {
     if rows.len() <= 1 || keys.is_empty() {
         return;
@@ -425,44 +323,8 @@ fn radix_sort<T>(items: Vec<T>, d: usize, w: usize, key: impl Fn(&T) -> &[u8] + 
     out
 }
 
-/// Sorts tagged rows by `(keys, seq)` into a [`SortedRun`] — the
-/// per-bucket sort of a round-robin repartition, where each tag is the
-/// row's global position in the serial stream. The tag makes the order
-/// total, so the unstable sort is deterministic, and merging the buckets'
-/// runs by `(keys, seq)` reproduces the serial stable sort exactly.
-pub fn sort_tagged(pairs: Vec<(u64, Row)>, keys: &SortKeys) -> SortedRun {
-    let mut decorated: Vec<(Box<[Value]>, u64, Row)> = pairs
-        .into_iter()
-        .map(|(seq, row)| (extract(&row, keys), seq, row))
-        .collect();
-    let cmps = Cell::new(0u64);
-    decorated.sort_unstable_by(|a, b| {
-        cmps.set(cmps.get() + 1);
-        cmp_extracted(&a.0, &b.0, keys).then(a.1.cmp(&b.1))
-    });
-    charge(0, cmps.get());
-    SortedRun {
-        seqs: decorated.iter().map(|d| d.1).collect(),
-        rows: decorated.into_iter().map(|d| d.2).collect(),
-        enc: Vec::new(),
-    }
-}
-
-/// [`sort_tagged`] on the normalized-key path: the decorated byte
-/// strings embed each tag as their suffix, so one byte sort orders by
-/// `(keys, seq)`, and the run keeps its encodings for a memcmp merge.
-fn sort_tagged_codec(pairs: Vec<(u64, Row)>, keys: &SortKeys) -> SortedRun {
-    let mut bytes = 0u64;
-    let decorated: Vec<(Vec<u8>, u64, Row)> = pairs
-        .into_iter()
-        .map(|(seq, row)| {
-            let key = encode_with_seq(&row, keys, seq);
-            bytes += key.len() as u64;
-            (key, seq, row)
-        })
-        .collect();
-    charge(bytes, 0);
-    let decorated = sort_decorated(decorated, |d| &d.0);
+/// Splits sorted decorated triples into a [`SortedRun`].
+fn into_run(decorated: Vec<(Vec<u8>, u64, Row)>) -> SortedRun {
     let mut run = SortedRun {
         seqs: Vec::with_capacity(decorated.len()),
         rows: Vec::with_capacity(decorated.len()),
@@ -476,23 +338,32 @@ fn sort_tagged_codec(pairs: Vec<(u64, Row)>, keys: &SortKeys) -> SortedRun {
     run
 }
 
-/// Sorts tagged rows into a [`SortedRun`] on the selected path; the
-/// codec run carries stored keys so the downstream merge is memcmp-only.
-pub fn sort_tagged_with(pairs: Vec<(u64, Row)>, keys: &SortKeys, codec: bool) -> SortedRun {
-    if codec {
-        sort_tagged_codec(pairs, keys)
-    } else {
-        sort_tagged(pairs, keys)
-    }
+/// Sorts tagged rows by `(keys, seq)` into a [`SortedRun`] — the
+/// per-bucket sort of a round-robin repartition, where each tag is the
+/// row's global position in the serial stream. The decorated byte
+/// strings embed each tag as their suffix, so one byte sort orders by
+/// `(keys, seq)`, and merging the buckets' runs reproduces the serial
+/// stable sort exactly.
+pub fn sort_tagged_run(pairs: Vec<(u64, Row)>, keys: &SortKeys) -> SortedRun {
+    let mut bytes = 0u64;
+    let decorated: Vec<(Vec<u8>, u64, Row)> = pairs
+        .into_iter()
+        .map(|(seq, row)| {
+            let key = encode_with_seq(&row, keys, seq);
+            bytes += key.len() as u64;
+            (key, seq, row)
+        })
+        .collect();
+    charge(bytes, 0);
+    into_run(sort_decorated(decorated, |d| &d.0))
 }
 
 /// Sorts a contiguous slice of the serial input (rows in input order,
-/// occupying serial positions `[0, len)` locally) into a [`SortedRun`]
-/// on the normalized-key path. Tags are local input positions; the
-/// coordinator rebases them with [`SortedRun::shift`] once the run's
-/// global interval is known.
-pub fn sort_run_codec(rows: Vec<Row>, keys: &SortKeys) -> SortedRun {
-    sort_tagged_codec(
+/// occupying serial positions `[0, len)` locally) into a [`SortedRun`].
+/// Tags are local input positions; the coordinator rebases them with
+/// [`SortedRun::shift`] once the run's global interval is known.
+pub fn sort_run(rows: Vec<Row>, keys: &SortKeys) -> SortedRun {
+    sort_tagged_run(
         rows.into_iter()
             .enumerate()
             .map(|(i, r)| (i as u64, r))
@@ -501,8 +372,8 @@ pub fn sort_run_codec(rows: Vec<Row>, keys: &SortKeys) -> SortedRun {
     )
 }
 
-/// [`sort_run_codec`] for rows whose normalized keys were already
-/// encoded into one contiguous arena
+/// [`sort_run`] for rows whose normalized keys were already encoded into
+/// one contiguous arena
 /// ([`fto_common::column::encode_batch_keys_arena`]): row `i`'s key is
 /// `bytes[offsets[i]..offsets[i + 1]]`. Tags are local positions `[0,
 /// len)`; rebase with [`SortedRun::shift`]. This is the external sort's
@@ -525,26 +396,17 @@ pub fn sort_run_arena(rows: Vec<Row>, bytes: &[u8], offsets: &[usize]) -> Sorted
         })
         .collect();
     charge(total, 0);
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    let mut run = SortedRun {
-        seqs: Vec::with_capacity(decorated.len()),
-        rows: Vec::with_capacity(decorated.len()),
-        enc: Vec::with_capacity(decorated.len()),
-    };
-    for (key, seq, row) in decorated {
-        run.enc.push(key);
-        run.seqs.push(seq);
-        run.rows.push(row);
-    }
-    run
+    into_run(sort_decorated(decorated, |d| &d.0))
 }
 
 /// The first `n` rows of the stable sort of `rows` by `keys`, each tagged
-/// with its original input position. Selection runs before the sort, so
-/// only the winning prefix pays `O(n log n)`; the input-position tag makes
-/// the comparator a total order, which is what pins the *choice* of
-/// boundary ties (the earliest tied input rows win) as well as their
-/// output order.
+/// with its original input position, compared by extracted `Value`s —
+/// the bounded Top-N's repeated pruning step, which keeps its working
+/// set to the few surviving candidates instead of decorating every input
+/// row. Selection runs before the sort, so only the winning prefix pays
+/// `O(n log n)`; the input-position tag makes the comparator a total
+/// order, which is what pins the *choice* of boundary ties (the earliest
+/// tied input rows win) as well as their output order.
 pub fn top_n_tagged(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> Vec<(u64, Row)> {
     if n == 0 {
         return Vec::new();
@@ -571,10 +433,12 @@ pub fn top_n_tagged(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> Vec<(u6
         .collect()
 }
 
-/// [`top_n_tagged`] on the normalized-key path, returning a
+/// The first `n` rows of the stable sort of tagged `rows` by `keys`, as a
 /// [`SortedRun`] with stored keys: selection and the winning prefix's
-/// sort both compare decorated byte strings only.
-fn top_n_tagged_codec(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> SortedRun {
+/// sort both compare decorated byte strings only. The unbounded Top-N
+/// and the Top-N exchange's workers (which tag locally; the coordinator
+/// rebases with [`SortedRun::shift`]) both select through here.
+pub fn top_n_run(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> SortedRun {
     if n == 0 {
         return SortedRun::default();
     }
@@ -597,78 +461,16 @@ fn top_n_tagged_codec(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize) -> Sorte
         charge(0, cmps.get());
         decorated.truncate(n);
     }
-    let decorated = sort_decorated(decorated, |d| &d.0);
-    let mut run = SortedRun {
-        seqs: Vec::with_capacity(decorated.len()),
-        rows: Vec::with_capacity(decorated.len()),
-        enc: Vec::with_capacity(decorated.len()),
-    };
-    for (key, seq, row) in decorated {
-        run.enc.push(key);
-        run.seqs.push(seq);
-        run.rows.push(row);
-    }
-    run
-}
-
-/// Tagged top-N into a [`SortedRun`] on the selected path — the
-/// exchange-side entry point (workers tag locally; the coordinator
-/// rebases with [`SortedRun::shift`]).
-pub fn top_n_run(rows: Vec<(u64, Row)>, keys: &SortKeys, n: usize, codec: bool) -> SortedRun {
-    if codec {
-        top_n_tagged_codec(rows, keys, n)
-    } else {
-        let top = top_n_tagged(rows, keys, n);
-        let mut run = SortedRun {
-            seqs: Vec::with_capacity(top.len()),
-            rows: Vec::with_capacity(top.len()),
-            enc: Vec::new(),
-        };
-        for (seq, row) in top {
-            run.seqs.push(seq);
-            run.rows.push(row);
-        }
-        run
-    }
-}
-
-/// The first `n` rows of the stable sort of `rows` by `keys` (see
-/// [`top_n_tagged`]; tags here are the input positions themselves).
-pub fn top_n(rows: Vec<Row>, keys: &SortKeys, n: usize) -> Vec<Row> {
-    top_n_tagged(
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, r)| (i as u64, r))
-            .collect(),
-        keys,
-        n,
-    )
-    .into_iter()
-    .map(|(_, row)| row)
-    .collect()
-}
-
-/// [`top_n`] on the selected path. Both paths return the identical
-/// stable-sort prefix.
-pub fn top_n_with(rows: Vec<Row>, keys: &SortKeys, n: usize, codec: bool) -> Vec<Row> {
-    if !codec {
-        return top_n(rows, keys, n);
-    }
-    top_n_tagged_codec(
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, r)| (i as u64, r))
-            .collect(),
-        keys,
-        n,
-    )
-    .rows
+    into_run(sort_decorated(decorated, |d| &d.0))
 }
 
 /// One sorted run entering a merge: rows sorted by `(keys, seq)`, with
-/// `seqs[i]` the global sequence tag of `rows[i]`. Tags must be unique
-/// across all runs of one merge and consistent with the serial emission
-/// order the merge is meant to reproduce.
+/// `seqs[i]` the global sequence tag of `rows[i]` and `enc[i]` its stored
+/// normalized key (`key ‖ big-endian seq`). Tags must be unique across
+/// all runs of one merge and consistent with the serial emission order
+/// the merge is meant to reproduce. Because the seq suffix doubles as the
+/// tiebreak, one byte comparison of two stored keys decides `(keys,
+/// seq)` in full.
 #[derive(Debug, Default)]
 pub struct SortedRun {
     /// The run's rows, sorted by `(keys, seq)`.
@@ -677,48 +479,24 @@ pub struct SortedRun {
     /// within a tie group by construction).
     pub seqs: Vec<u64>,
     /// Stored normalized keys (`key ‖ big-endian seq`), parallel to
-    /// `rows`, when the run was produced by the codec path; empty on the
-    /// legacy path. A merge uses them for memcmp-only heap compares —
-    /// the seq suffix doubles as the tiebreak, so one byte comparison
-    /// decides `(keys, seq)` in full.
+    /// `rows`.
     pub enc: Vec<Vec<u8>>,
 }
 
 impl SortedRun {
-    /// Tags `rows` (already stably sorted by the merge keys) with
-    /// consecutive sequence numbers starting at `base`. Correct whenever
-    /// the run's rows occupied the contiguous serial-input interval
-    /// `[base, base + rows.len())` in input order before sorting — which
-    /// a stable sort preserves within tie groups.
-    pub fn from_contiguous(rows: Vec<Row>, base: u64) -> SortedRun {
-        // After a stable sort the original positions are no longer
-        // consecutive, but within any tie group they stay in input order,
-        // so re-tagging 0..len in run order keeps ties correctly ranked
-        // *within* this run; across runs only the run-interval order
-        // matters, which `base` encodes.
-        let seqs = (base..base + rows.len() as u64).collect();
-        SortedRun {
-            rows,
-            seqs,
-            enc: Vec::new(),
-        }
-    }
-
     /// Rebases a run tagged with local positions `[0, len)` onto the
     /// global interval starting at `base`: shifts each seq and patches
-    /// the big-endian seq suffix of any stored keys in place. Workers
+    /// the big-endian seq suffix of its stored keys in place. Workers
     /// tag locally (they cannot know their interval's base); the
     /// coordinator shifts in partition order.
     pub fn shift(&mut self, base: u64) {
         if base == 0 {
             return;
         }
-        for (i, seq) in self.seqs.iter_mut().enumerate() {
+        for (seq, key) in self.seqs.iter_mut().zip(&mut self.enc) {
             *seq += base;
-            if let Some(key) = self.enc.get_mut(i) {
-                let at = key.len() - 8;
-                key[at..].copy_from_slice(&seq.to_be_bytes());
-            }
+            let at = key.len() - 8;
+            key[at..].copy_from_slice(&seq.to_be_bytes());
         }
     }
 }
@@ -727,50 +505,33 @@ impl SortedRun {
 /// the order-preserving half of a merge exchange. Given runs produced by
 /// stably sorting disjoint pieces of one serial input and tagged
 /// consistently with that input's order, the output is bit-identical to
-/// stably sorting the serial input whole.
-pub fn merge_runs(runs: Vec<SortedRun>, keys: &SortKeys) -> Vec<Row> {
-    merge_runs_into_run(runs, keys).rows
-}
-
-/// As [`merge_runs`], but the output keeps its sequence tags (and stored
-/// encodings, when every input run carried them) — i.e. the merge of
-/// sorted runs *is itself a sorted run*, which is what lets the external
-/// sort merge more runs than the fan-in allows in multiple passes: each
-/// pass's outputs feed the next as ordinary runs.
-pub fn merge_runs_into_run(runs: Vec<SortedRun>, keys: &SortKeys) -> SortedRun {
-    let encoded =
-        runs.iter().any(|r| !r.enc.is_empty()) && runs.iter().all(|r| r.enc.len() == r.rows.len());
-    if encoded {
-        return merge_runs_encoded(runs);
-    }
+/// stably sorting the serial input whole. Every heap compare is one
+/// byte-slice comparison of stored keys — no `Value` dispatch, no
+/// separate seq tiebreak.
+pub fn merge_runs(runs: Vec<SortedRun>) -> Vec<Row> {
     let total: usize = runs.iter().map(|r| r.rows.len()).sum();
-    let mut runs: Vec<(std::vec::IntoIter<Row>, std::vec::IntoIter<u64>)> = runs
+    let mut runs: Vec<(std::vec::IntoIter<Row>, std::vec::IntoIter<Vec<u8>>)> = runs
         .into_iter()
-        .map(|r| (r.rows.into_iter(), r.seqs.into_iter()))
+        .map(|r| (r.rows.into_iter(), r.enc.into_iter()))
         .collect();
-    // Current head of each run.
-    let mut heads: Vec<Option<(Row, u64)>> = runs
+    let mut heads: Vec<Option<(Row, Vec<u8>)>> = runs
         .iter_mut()
-        .map(|(rows, seqs)| rows.next().map(|r| (r, seqs.next().unwrap_or(0))))
+        .map(|(rows, enc)| rows.next().map(|r| (r, enc.next().unwrap_or_default())))
         .collect();
-    let mut out = SortedRun {
-        rows: Vec::with_capacity(total),
-        seqs: Vec::with_capacity(total),
-        enc: Vec::new(),
-    };
+    let mut out = Vec::with_capacity(total);
     let mut cmps = 0u64;
     loop {
-        // Linear scan over the (few) run heads for the minimum by
-        // (keys, seq); ties cannot occur because seqs are unique.
+        // Linear scan over the (few) run heads for the minimum stored
+        // key; ties cannot occur because the seq suffixes are unique.
         let mut best: Option<usize> = None;
         for (k, head) in heads.iter().enumerate() {
-            let Some((row, seq)) = head else { continue };
+            let Some((_, key)) = head else { continue };
             best = match best {
                 None => Some(k),
                 Some(b) => {
-                    let (brow, bseq) = heads[b].as_ref().unwrap();
+                    let (_, bkey) = heads[b].as_ref().unwrap();
                     cmps += 1;
-                    if cmp_rows(row, brow, keys).then(seq.cmp(bseq)) == Ordering::Less {
+                    if key < bkey {
                         Some(k)
                     } else {
                         Some(b)
@@ -779,73 +540,10 @@ pub fn merge_runs_into_run(runs: Vec<SortedRun>, keys: &SortKeys) -> SortedRun {
             };
         }
         let Some(k) = best else { break };
-        let (rows, seqs) = &mut runs[k];
-        let next = rows.next().map(|r| (r, seqs.next().unwrap_or(0)));
-        let (row, seq) = std::mem::replace(&mut heads[k], next).unwrap();
-        out.rows.push(row);
-        out.seqs.push(seq);
-    }
-    charge(0, cmps);
-    out
-}
-
-/// A consumed run during the encoded merge: rows, seq tags, and stored
-/// encodings advanced in lockstep.
-type EncodedRunIter = (
-    std::vec::IntoIter<Row>,
-    std::vec::IntoIter<u64>,
-    std::vec::IntoIter<Vec<u8>>,
-);
-
-/// The memcmp merge: every run carries stored `(key ‖ seq)` encodings,
-/// so each heap compare is one byte-slice comparison — no `Value`
-/// dispatch, no separate seq tiebreak. The output run keeps both tags
-/// and encodings, so it can enter a later merge pass unchanged.
-fn merge_runs_encoded(runs: Vec<SortedRun>) -> SortedRun {
-    let total: usize = runs.iter().map(|r| r.rows.len()).sum();
-    let mut runs: Vec<EncodedRunIter> = runs
-        .into_iter()
-        .map(|r| (r.rows.into_iter(), r.seqs.into_iter(), r.enc.into_iter()))
-        .collect();
-    let mut heads: Vec<Option<(Row, u64, Vec<u8>)>> = runs
-        .iter_mut()
-        .map(|(rows, seqs, enc)| {
-            rows.next()
-                .map(|r| (r, seqs.next().unwrap_or(0), enc.next().unwrap_or_default()))
-        })
-        .collect();
-    let mut out = SortedRun {
-        rows: Vec::with_capacity(total),
-        seqs: Vec::with_capacity(total),
-        enc: Vec::with_capacity(total),
-    };
-    let mut cmps = 0u64;
-    loop {
-        let mut best: Option<usize> = None;
-        for (k, head) in heads.iter().enumerate() {
-            let Some((_, _, key)) = head else { continue };
-            best = match best {
-                None => Some(k),
-                Some(b) => {
-                    let (_, _, bkey) = heads[b].as_ref().unwrap();
-                    cmps += 1;
-                    if key.as_slice() < bkey.as_slice() {
-                        Some(k)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let Some(k) = best else { break };
-        let (rows, seqs, enc) = &mut runs[k];
-        let next = rows
-            .next()
-            .map(|r| (r, seqs.next().unwrap_or(0), enc.next().unwrap_or_default()));
-        let (row, seq, key) = std::mem::replace(&mut heads[k], next).unwrap();
-        out.rows.push(row);
-        out.seqs.push(seq);
-        out.enc.push(key);
+        let (rows, enc) = &mut runs[k];
+        let next = rows.next().map(|r| (r, enc.next().unwrap_or_default()));
+        let (row, _) = std::mem::replace(&mut heads[k], next).unwrap();
+        out.push(row);
     }
     charge(0, cmps);
     out
@@ -863,6 +561,51 @@ mod tests {
 
     fn keys_from(cols: &[(usize, Direction)]) -> SortKeys {
         cols.to_vec()
+    }
+
+    /// The `Value`-comparator reference: a plain stable sort by the keys,
+    /// column by column through `Direction::apply` and `total_cmp`.
+    fn reference_sort(rows: &mut [Row], keys: &SortKeys) {
+        rows.sort_by(|a, b| {
+            keys.iter()
+                .map(|&(p, dir)| dir.apply(a[p].total_cmp(&b[p])))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+    }
+
+    /// The kernel's full sort, driven the way `SortOp` drives it: keys
+    /// encoded into one arena, then [`sort_rows_arena`].
+    fn kernel_sort(rows: &mut Vec<Row>, keys: &SortKeys) {
+        let (mut bytes, mut offsets) = (Vec::new(), vec![0]);
+        for r in rows.iter() {
+            sortkey::encode_key_into(r, keys, &mut bytes);
+            offsets.push(bytes.len());
+        }
+        sort_rows_arena(rows, &bytes, &offsets, keys);
+    }
+
+    fn tagged(rows: &[Row]) -> Vec<(u64, Row)> {
+        rows.iter()
+            .cloned()
+            .enumerate()
+            .map(|(i, r)| (i as u64, r))
+            .collect()
+    }
+
+    /// Sorts `input` in `parts` contiguous pieces with [`sort_run`],
+    /// rebases each onto its serial interval, and merges.
+    fn sort_in_pieces(input: &[Row], parts: usize, keys: &SortKeys) -> Vec<Row> {
+        let chunk = input.len().div_ceil(parts).max(1);
+        let mut runs = Vec::new();
+        let mut base = 0u64;
+        for piece in input.chunks(chunk) {
+            let mut run = sort_run(piece.to_vec(), keys);
+            run.shift(base);
+            runs.push(run);
+            base += piece.len() as u64;
+        }
+        merge_runs(runs)
     }
 
     fn spec_desc_asc() -> (OrderSpec, RowLayout) {
@@ -888,7 +631,7 @@ mod tests {
         let mut rows: Vec<Row> = (0..200).map(|i| row(&[i % 7, i % 3])).collect();
         let mut expected = rows.clone();
         expected.sort_by(|a, b| b[1].total_cmp(&a[1]).then_with(|| a[0].total_cmp(&b[0])));
-        sort_rows(&mut rows, &keys);
+        kernel_sort(&mut rows, &keys);
         assert_eq!(rows, expected);
     }
 
@@ -898,16 +641,18 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let mut rows: Vec<Row> = (0..50).map(|i| row(&[7, i])).collect();
         let expected = rows.clone();
-        sort_rows(&mut rows, &keys);
+        kernel_sort(&mut rows, &keys);
         assert_eq!(rows, expected, "stable sort must preserve tie order");
     }
 
     #[test]
     fn empty_keys_leave_input_untouched() {
-        let mut rows: Vec<Row> = vec![row(&[3]), row(&[1]), row(&[2])];
-        let expected = rows.clone();
-        sort_rows(&mut rows, &Vec::new());
-        assert_eq!(rows, expected);
+        let rows: Vec<Row> = vec![row(&[3]), row(&[1]), row(&[2])];
+        let mut sorted = rows.clone();
+        kernel_sort(&mut sorted, &Vec::new());
+        assert_eq!(sorted, rows);
+        assert_eq!(top_n_run(tagged(&rows), &Vec::new(), 2).rows, rows[..2]);
+        assert_eq!(sort_in_pieces(&rows, 2, &Vec::new()), rows);
     }
 
     #[test]
@@ -916,10 +661,13 @@ mod tests {
         // Many ties across the n boundary; payload distinguishes rows.
         let rows: Vec<Row> = (0..40).map(|i| row(&[i % 4, i])).collect();
         let mut sorted = rows.clone();
-        sort_rows(&mut sorted, &keys);
+        reference_sort(&mut sorted, &keys);
         for n in [0usize, 1, 5, 10, 11, 39, 40, 100] {
-            let got = top_n(rows.clone(), &keys, n);
             let want: Vec<Row> = sorted.iter().take(n).cloned().collect();
+            let got: Vec<Row> = top_n_tagged(tagged(&rows), &keys, n)
+                .into_iter()
+                .map(|(_, r)| r)
+                .collect();
             assert_eq!(got, want, "n={n}");
         }
     }
@@ -929,19 +677,13 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Desc)]);
         let input: Vec<Row> = (0..120).map(|i| row(&[(i * 13) % 5, i])).collect();
         let mut serial = input.clone();
-        sort_rows(&mut serial, &keys);
+        reference_sort(&mut serial, &keys);
         for parts in [1usize, 2, 3, 4, 5] {
-            let chunk = input.len().div_ceil(parts);
-            let mut runs = Vec::new();
-            let mut base = 0u64;
-            for piece in input.chunks(chunk) {
-                let mut rows = piece.to_vec();
-                let len = rows.len() as u64;
-                sort_rows(&mut rows, &keys);
-                runs.push(SortedRun::from_contiguous(rows, base));
-                base += len;
-            }
-            assert_eq!(merge_runs(runs, &keys), serial, "parts={parts}");
+            assert_eq!(
+                sort_in_pieces(&input, parts, &keys),
+                serial,
+                "parts={parts}"
+            );
         }
     }
 
@@ -950,7 +692,7 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let input: Vec<Row> = (0..90).map(|i| row(&[(i * 7) % 6, i])).collect();
         let mut serial = input.clone();
-        sort_rows(&mut serial, &keys);
+        reference_sort(&mut serial, &keys);
         let parts = 4;
         // Round-robin deal, remembering global positions.
         let mut buckets: Vec<Vec<(u64, Row)>> = vec![Vec::new(); parts];
@@ -959,9 +701,9 @@ mod tests {
         }
         let runs: Vec<SortedRun> = buckets
             .into_iter()
-            .map(|bucket| sort_tagged(bucket, &keys))
+            .map(|bucket| sort_tagged_run(bucket, &keys))
             .collect();
-        assert_eq!(merge_runs(runs, &keys), serial);
+        assert_eq!(merge_runs(runs), serial);
     }
 
     /// Mixed-shape rows exercising every codec branch: numerics (int and
@@ -984,14 +726,15 @@ mod tests {
             .collect()
     }
 
+    /// "Legacy" here is the `Value`-comparator reference sort.
     #[test]
     fn codec_sort_matches_legacy_sort_on_mixed_shapes() {
         for dir in [Direction::Asc, Direction::Desc] {
             let keys = keys_from(&[(0, dir)]);
             let mut legacy = mixed_rows(500);
             let mut codec = legacy.clone();
-            sort_rows(&mut legacy, &keys);
-            sort_rows_with(&mut codec, &keys, true);
+            reference_sort(&mut legacy, &keys);
+            kernel_sort(&mut codec, &keys);
             assert_eq!(codec, legacy, "dir={dir:?}");
         }
     }
@@ -1000,7 +743,7 @@ mod tests {
     fn codec_sort_takes_radix_path_on_fixed_width_keys() {
         // All-Int composite keys are fixed width (11 bytes per column +
         // 8-byte seq), so this drives the MSB radix path; the result
-        // must still equal the legacy stable sort.
+        // must still equal the reference stable sort.
         let keys = keys_from(&[(0, Direction::Desc), (1, Direction::Asc)]);
         let mut rng = fto_common::Rng::new(3);
         let mut legacy: Vec<Row> = (0..4096)
@@ -1008,23 +751,29 @@ mod tests {
             .collect();
         let mut codec = legacy.clone();
         let before = stats_snapshot();
-        sort_rows_with(&mut codec, &keys, true);
+        kernel_sort(&mut codec, &keys);
         let delta = stats_snapshot().delta_since(before);
         assert!(delta.key_bytes >= 4096 * 30, "encoded {delta:?}");
-        sort_rows(&mut legacy, &keys);
+        reference_sort(&mut legacy, &keys);
         assert_eq!(codec, legacy);
     }
 
+    /// Both Top-N selections (byte-key and bounded `Value`-key) against
+    /// the reference stable-sort prefix.
     #[test]
     fn codec_top_n_matches_legacy_top_n() {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let rows = mixed_rows(300);
+        let mut sorted = rows.clone();
+        reference_sort(&mut sorted, &keys);
         for n in [0usize, 1, 7, 299, 300, 400] {
-            assert_eq!(
-                top_n_with(rows.clone(), &keys, n, true),
-                top_n(rows.clone(), &keys, n),
-                "n={n}"
-            );
+            let want: Vec<Row> = sorted.iter().take(n).cloned().collect();
+            assert_eq!(top_n_run(tagged(&rows), &keys, n).rows, want, "n={n}");
+            let bounded: Vec<Row> = top_n_tagged(tagged(&rows), &keys, n)
+                .into_iter()
+                .map(|(_, r)| r)
+                .collect();
+            assert_eq!(bounded, want, "n={n}");
         }
     }
 
@@ -1033,19 +782,13 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let input = mixed_rows(240);
         let mut serial = input.clone();
-        sort_rows(&mut serial, &keys);
+        reference_sort(&mut serial, &keys);
         for parts in [1usize, 2, 3, 5] {
-            let chunk = input.len().div_ceil(parts);
-            let mut runs = Vec::new();
-            let mut base = 0u64;
-            for piece in input.chunks(chunk) {
-                let len = piece.len() as u64;
-                let mut run = sort_run_codec(piece.to_vec(), &keys);
-                run.shift(base);
-                runs.push(run);
-                base += len;
-            }
-            assert_eq!(merge_runs(runs, &keys), serial, "parts={parts}");
+            assert_eq!(
+                sort_in_pieces(&input, parts, &keys),
+                serial,
+                "parts={parts}"
+            );
         }
     }
 
@@ -1054,7 +797,7 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Desc)]);
         let input = mixed_rows(150);
         let mut serial = input.clone();
-        sort_rows(&mut serial, &keys);
+        reference_sort(&mut serial, &keys);
         let parts = 3;
         let mut buckets: Vec<Vec<(u64, Row)>> = vec![Vec::new(); parts];
         for (g, r) in input.into_iter().enumerate() {
@@ -1062,9 +805,9 @@ mod tests {
         }
         let runs: Vec<SortedRun> = buckets
             .into_iter()
-            .map(|bucket| sort_tagged_with(bucket, &keys, true))
+            .map(|bucket| sort_tagged_run(bucket, &keys))
             .collect();
-        assert_eq!(merge_runs(runs, &keys), serial);
+        assert_eq!(merge_runs(runs), serial);
     }
 
     #[test]
@@ -1073,22 +816,16 @@ mod tests {
         // Two "workers" with heavy ties: containment + tag order across
         // runs must pick the earliest-input rows, exactly like serial.
         let all: Vec<Row> = (0..60).map(|i| row(&[i % 3, i])).collect();
-        let serial = top_n(all.clone(), &keys, 10);
+        let serial = top_n_run(tagged(&all), &keys, 10).rows;
         let mut runs = Vec::new();
         let mut base = 0u64;
         for piece in all.chunks(30) {
-            let tagged: Vec<(u64, Row)> = piece
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, r)| (i as u64, r))
-                .collect();
-            let mut run = top_n_run(tagged, &keys, 10, true);
+            let mut run = top_n_run(tagged(piece), &keys, 10);
             run.shift(base);
             runs.push(run);
             base += 30;
         }
-        let mut merged = merge_runs(runs, &keys);
+        let mut merged = merge_runs(runs);
         merged.truncate(10);
         assert_eq!(merged, serial);
     }
@@ -1098,25 +835,29 @@ mod tests {
         let keys = keys_from(&[(0, Direction::Asc)]);
         let before = stats_snapshot();
         let mut rows: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
-        sort_rows_with(&mut rows, &keys, true);
+        kernel_sort(&mut rows, &keys);
         let after = stats_snapshot();
         let delta = after.delta_since(before);
-        assert!(delta.key_bytes > 0, "codec sort must record key bytes");
-        let mut rows2: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
-        sort_rows(&mut rows2, &keys);
-        let legacy_delta = stats_snapshot().delta_since(after);
-        assert!(legacy_delta.comparisons > 0, "legacy sort counts compares");
+        assert!(delta.key_bytes > 0, "sort must record key bytes");
+        let rows2: Vec<Row> = (0..100).map(|i| row(&[(i * 37) % 11, i])).collect();
+        top_n_tagged(tagged(&rows2), &keys, 10);
+        let bounded_delta = stats_snapshot().delta_since(after);
+        assert!(
+            bounded_delta.comparisons > 0,
+            "bounded top-n counts compares"
+        );
     }
 
     #[test]
     fn merge_handles_empty_and_unbalanced_runs() {
         let keys = keys_from(&[(0, Direction::Asc)]);
-        let runs = vec![
-            SortedRun::from_contiguous(vec![], 0),
-            SortedRun::from_contiguous(vec![row(&[1, 0]), row(&[3, 1])], 0),
-            SortedRun::from_contiguous(vec![row(&[2, 2])], 2),
+        let mut runs = vec![
+            sort_run(vec![], &keys),
+            sort_run(vec![row(&[1, 0]), row(&[3, 1])], &keys),
+            sort_run(vec![row(&[2, 2])], &keys),
         ];
-        let merged = merge_runs(runs, &keys);
+        runs[2].shift(2);
+        let merged = merge_runs(runs);
         let got: Vec<i64> = merged.iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(got, vec![1, 2, 3]);
     }

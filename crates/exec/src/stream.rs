@@ -11,13 +11,12 @@
 //!
 //! Hot operators run columnar: filters refine a selection vector with
 //! typed kernels and gather survivors (never materializing rows),
-//! projections of bare column references are `Arc` clones, hash group-by
-//! computes its keys by byte-encoding the grouping columns
-//! column-at-a-time, and the sort's codec path encodes normalized keys
-//! straight from the column vectors. Operators with inherently row-wise
-//! logic (joins, order-based group-by, distinct) materialize rows through
-//! `Batch::row`/`to_rows` — the transition shims the columnar redesign
-//! keeps until those paths are vectorized in turn.
+//! projections of bare column references are `Arc` clones, joins,
+//! group-bys and distinct key on byte-encoded columns and emit through
+//! gathers, and sorts encode normalized keys straight from the column
+//! vectors (they still buffer and emit rows). Operators with inherently
+//! row-wise logic (segmented-sort absorb, top-n, the nested-loop joins)
+//! materialize rows through `Batch::row`.
 //!
 //! Pipeline breakers: [`PlanNode::Sort`], [`PlanNode::TopN`], and
 //! [`PlanNode::HashGroupBy`] must consume their whole input before
@@ -38,7 +37,6 @@ use crate::metrics::{OpMetrics, PlanMetrics};
 use crate::parallel::{
     GatherOp, MergeExchangeOp, PartitionSpec, RepartitionSortOp, TopNExchangeOp,
 };
-use crate::rowshim;
 use crate::sortkernel::{self, resolve_keys, SortKeys};
 use fto_common::column::{batch_row_bytes, encode_batch_keys_arena, Column};
 use fto_common::{row_bytes, ColId, Direction, FtoError, IndexId, Result, Row, TableId, Value};
@@ -103,11 +101,6 @@ pub struct ExecContext<'a> {
     /// worker-side contexts are always 1 so pipelines never nest
     /// exchanges).
     pub threads: usize,
-    /// Whether sort-heavy operators use the normalized binary key codec
-    /// ([`fto_common::sortkey`]) instead of the `Value` comparator. Both
-    /// paths produce bit-identical output; this gates the fast path so
-    /// the differential suite can prove it.
-    pub sort_key_codec: bool,
     /// Per-query memory budget in bytes for pipeline breakers, or `None`
     /// for unbounded in-memory execution. When set, sort and Top-N bound
     /// their buffered working sets (spilling sorted runs), hash group-by
@@ -129,9 +122,6 @@ pub struct ExecContext<'a> {
     /// only observes: rows, [`IoStats`], and metric rollups are
     /// bit-identical with or without it.
     pub profiler: Option<fto_obs::Profiler>,
-    /// Test-only: plans were lowered to the row-at-a-time baseline
-    /// operators (see [`ExecOptions::row_shim`]).
-    pub row_shim: bool,
 }
 
 impl<'a> ExecContext<'a> {
@@ -156,11 +146,9 @@ impl<'a> ExecContext<'a> {
             graph,
             batch_size: opts.batch_size.max(1),
             threads,
-            sort_key_codec: opts.sort_key_codec,
             memory_budget,
             pool: memory_budget.map(|b| RefCell::new(BufferPool::new(b))),
             profiler: opts.profiler.clone(),
-            row_shim: opts.row_shim,
         }
     }
 
@@ -201,10 +189,11 @@ pub struct ExecOptions {
     /// lowering inserts no exchange operators and execution is exactly
     /// the classic single-threaded pipeline.
     pub threads: usize,
-    /// Use the normalized binary key codec for sorts, exchange merges,
-    /// merge-join tie detection, and index probes (default on). Off
-    /// keeps the legacy `Value`-comparator paths; output is identical
-    /// either way.
+    /// Retired switch, kept only because the benchmark harness
+    /// (`benchmark/src/trace.rs`) still names it. Must stay `true` (the
+    /// default): the executor has one sort path, the normalized-key
+    /// codec, and [`execute_plan`] returns an error for `false`.
+    #[doc(hidden)]
     pub sort_key_codec: bool,
     /// Per-query memory budget in bytes, or `None` (the default) for
     /// unbounded execution. See [`ExecContext::memory_budget`].
@@ -213,14 +202,11 @@ pub struct ExecOptions {
     /// overhead beyond one thread-local branch per hook). See
     /// [`ExecContext::profiler`].
     pub profiler: Option<fto_obs::Profiler>,
-    /// Test-only baseline: lower the distinct, stream group-by, merge
-    /// join, hash join, and left-outer join operators to their
-    /// pre-vectorization row-at-a-time implementations
-    /// ([`crate::rowshim`]) instead of the columnar ones. The shims
-    /// share the joins' build machinery with the vectorized operators,
-    /// so rows *and* [`IoStats`] must match bit for bit — the
-    /// differential suite proves it. Default off; production code never
-    /// sets this.
+    /// Retired switch, kept only because the benchmark harness
+    /// (`benchmark/src/trace.rs`) still names it. Must stay `false` (the
+    /// default): there are no row-at-a-time operators any more, and
+    /// [`execute_plan`] returns an error for `true`.
+    #[doc(hidden)]
     pub row_shim: bool,
 }
 
@@ -235,6 +221,22 @@ impl Default for ExecOptions {
             row_shim: false,
         }
     }
+}
+
+/// Rejects the retired execution switches: a caller that asks for the
+/// legacy comparator sort (`sort_key_codec = false`) or the row-at-a-time
+/// operators (`row_shim = true`) gets an error instead of silently
+/// running the one remaining path. [`crate::Session::plan`] and the
+/// `execute_plan*` entry points all check through here.
+pub(crate) fn reject_retired_switches(sort_key_codec: bool, row_shim: bool) -> Result<()> {
+    if sort_key_codec && !row_shim {
+        return Ok(());
+    }
+    Err(FtoError::Exec(format!(
+        "unsupported execution options (sort_key_codec={sort_key_codec}, \
+         row_shim={row_shim}): the executor has a single path, the \
+         normalized-key codec with columnar operators"
+    )))
 }
 
 /// Lowers a plan to its streaming operator tree without running it.
@@ -252,10 +254,11 @@ pub fn execute_plan(
     plan: &Plan,
     opts: &ExecOptions,
 ) -> Result<StreamResult> {
+    reject_retired_switches(opts.sort_key_codec, opts.row_shim)?;
     let start = Instant::now();
     let mut io = IoStats::new();
     let cx = ExecContext::new(db, graph, opts);
-    let mut root = lower_impl(plan, &mut LowerCx::new(None, cx.threads, cx.row_shim))?;
+    let mut root = lower_impl(plan, &mut LowerCx::new(None, cx.threads))?;
     root.open(&cx, &mut io)?;
     let mut batches = Vec::new();
     while let Some(batch) = root.next_batch(&cx, &mut io)? {
@@ -284,6 +287,7 @@ pub fn execute_plan_instrumented(
     plan: &Plan,
     opts: &ExecOptions,
 ) -> Result<(StreamResult, PlanMetrics)> {
+    reject_retired_switches(opts.sort_key_codec, opts.row_shim)?;
     let start = Instant::now();
     let mut io = IoStats::new();
     let cx = ExecContext::new(db, graph, opts);
@@ -293,7 +297,7 @@ pub fn execute_plan_instrumented(
     let slots = Arc::new(Mutex::new(Vec::new()));
     let mut root = lower_impl(
         plan,
-        &mut LowerCx::new(Some(Arc::clone(&slots)), cx.threads, cx.row_shim),
+        &mut LowerCx::new(Some(Arc::clone(&slots)), cx.threads),
     )?;
     root.open(&cx, &mut io)?;
     let mut batches = Vec::new();
@@ -344,26 +348,26 @@ fn preorder_children(plan: &Plan) -> Vec<Vec<usize>> {
 /// Rows produced faster than they are consumed; drained in batch-size
 /// chunks.
 #[derive(Default)]
-pub(crate) struct OutQueue {
+struct OutQueue {
     rows: VecDeque<Row>,
 }
 
 impl OutQueue {
-    pub(crate) fn push(&mut self, row: Row) {
+    fn push(&mut self, row: Row) {
         self.rows.push_back(row);
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Batch {
+    fn take(&mut self, n: usize) -> Batch {
         let n = n.min(self.rows.len());
         let rows: Vec<Row> = self.rows.drain(..n).collect();
         Batch::from_rows(&rows)
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.rows.clear();
     }
 }
@@ -378,7 +382,7 @@ impl OutQueue {
 /// consumes an entire queued batch at offset zero re-emits it without
 /// copying.
 #[derive(Default)]
-pub(crate) struct BatchQueue {
+struct BatchQueue {
     parts: VecDeque<Batch>,
     /// Rows of the front batch already taken.
     front: usize,
@@ -386,21 +390,21 @@ pub(crate) struct BatchQueue {
 }
 
 impl BatchQueue {
-    pub(crate) fn push(&mut self, batch: Batch) {
+    fn push(&mut self, batch: Batch) {
         if !batch.is_empty() {
             self.len += batch.len();
             self.parts.push_back(batch);
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Removes and returns the next `min(n, pending)` rows as one batch.
     /// `arity` disambiguates the all-consumed case (concat of zero
     /// parts); callers pass their output layout's arity.
-    pub(crate) fn take(&mut self, n: usize, arity: usize) -> Batch {
+    fn take(&mut self, n: usize, arity: usize) -> Batch {
         let n = n.min(self.len);
         let mut picked: Vec<Batch> = Vec::new();
         let mut need = n;
@@ -430,7 +434,7 @@ impl BatchQueue {
         Batch::concat(arity, &picked)
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.parts.clear();
         self.front = 0;
         self.len = 0;
@@ -451,7 +455,7 @@ pub(crate) fn drain_all(
     Ok(rows)
 }
 
-pub(crate) fn key_of(row: &Row, pos: &[usize]) -> Vec<Value> {
+fn key_of(row: &Row, pos: &[usize]) -> Vec<Value> {
     pos.iter().map(|&p| row[p].clone()).collect()
 }
 
@@ -657,21 +661,17 @@ impl Operator for LimitOp {
 
 /// All of a batch's columns as ascending sort keys — the encoding keys a
 /// distinct operator deduplicates whole rows under.
-pub(crate) fn all_cols_asc(batch: &Batch) -> SortKeys {
+fn all_cols_asc(batch: &Batch) -> SortKeys {
     (0..batch.arity()).map(|p| (p, Direction::Asc)).collect()
 }
 
 /// Streaming DISTINCT over sorted input, fully vectorized: rows become
 /// memcmp-able byte strings column-at-a-time via the sort-key codec,
 /// adjacent duplicates drop on slice inequality, and the survivors
-/// gather out columnar — no per-row `Vec<Value>` materialization.
-///
-/// Encoding is unconditional (it no longer branches on the codec flag):
-/// the codec canonicalizes exactly like `Value`'s `Eq` (both follow
+/// gather out columnar — no per-row `Vec<Value>` materialization. The
+/// codec canonicalizes exactly like `Value`'s `Eq` (both follow
 /// `total_cmp`), so byte equality drops precisely the rows a `Value`
-/// comparison would drop. The row-shim baseline
-/// ([`crate::rowshim::RowStreamDistinctOp`]) keeps both legacy
-/// comparator paths for the differential suite.
+/// comparison would drop.
 struct StreamDistinctOp {
     child: Box<dyn Operator>,
     /// Last emitted row's encoded key.
@@ -829,20 +829,16 @@ impl SortOp {
         cx: &ExecContext<'_>,
         io: &mut IoStats,
     ) -> Result<()> {
-        let encode = cx.sort_key_codec && !self.keys.is_empty();
         self.child.open(cx, io)?;
-        let mut former = RunFormer::new(budget, encode, self.keys.clone());
+        let mut former = RunFormer::new(budget, self.keys.clone());
         let (mut bb, mut bo) = (Vec::new(), Vec::new());
         let mut rows = Vec::new();
         while let Some(batch) = self.child.next_batch(cx, io)? {
-            if encode {
-                encode_batch_keys_arena(&batch, &self.keys, &mut bb, &mut bo);
-            }
+            encode_batch_keys_arena(&batch, &self.keys, &mut bb, &mut bo);
             rows.clear();
             batch.append_rows_to(&mut rows);
             for (i, row) in rows.drain(..).enumerate() {
-                let key = encode.then(|| &bb[bo[i]..bo[i + 1]]);
-                former.push(row, key, io);
+                former.push(row, &bb[bo[i]..bo[i + 1]], io);
             }
         }
         self.child.close();
@@ -862,12 +858,11 @@ impl Operator for SortOp {
         if let Some(budget) = cx.memory_budget {
             return self.open_bounded(budget, cx, io);
         }
-        // Under the codec, sort keys are encoded column-at-a-time while
-        // the input is still columnar — a tight per-type loop per key
-        // column — and the pre-encoded keys are handed to the kernel.
-        // Byte output (and therefore `sort.key_bytes` accounting) is
-        // identical to the kernel's own per-row encoding pass.
-        let encode = cx.sort_key_codec && !self.keys.is_empty();
+        // Sort keys are encoded column-at-a-time while the input is still
+        // columnar — a tight per-type loop per key column — and the
+        // pre-encoded keys are handed to the kernel. Empty keys encode
+        // nothing and the kernel leaves the input order as is.
+        let encode = !self.keys.is_empty();
         self.child.open(cx, io)?;
         let mut rows = Vec::new();
         // Key arena accumulated across batches: one backing buffer, no
@@ -886,11 +881,7 @@ impl Operator for SortOp {
         }
         self.child.close();
         io.sort_rows += rows.len() as u64;
-        if encode {
-            sortkernel::sort_rows_arena(&mut rows, &key_bytes, &key_offsets, &self.keys);
-        } else {
-            sortkernel::sort_rows_with(&mut rows, &self.keys, cx.sort_key_codec);
-        }
+        sortkernel::sort_rows_arena(&mut rows, &key_bytes, &key_offsets, &self.keys);
         self.buf = rows;
         self.pos = 0;
         Ok(())
@@ -902,7 +893,7 @@ impl Operator for SortOp {
             // materialized whole, only one batch of rows at a time.
             let mut rows = Vec::with_capacity(cx.batch_size);
             while rows.len() < cx.batch_size {
-                match spilled.next_row(&self.keys, io) {
+                match spilled.next_row(io) {
                     Some(row) => rows.push(row),
                     None => break,
                 }
@@ -944,12 +935,12 @@ enum SegmentEmit {
 /// sorted, and emitted incrementally, so memory stays bounded by the
 /// largest group (plus one input batch) and a `LIMIT n` above stops
 /// pulling input after the first ⌈n / group⌉ groups. Group boundaries are
-/// detected by encoded-prefix byte equality on the codec path and by
-/// `Value::total_cmp` equality otherwise — the codec is injective up to
-/// `total_cmp`, so both paths cut identical groups. Each group sorts
-/// stably on the suffix keys alone (its prefix columns are all equal, so
-/// this equals the full-key sort), and concatenating groups in arrival
-/// order reproduces the global stable sort bit for bit. Under a memory
+/// detected by encoded-prefix byte equality — the codec is injective up
+/// to `total_cmp`, so the groups are exactly the runs of equal prefix
+/// values. Each group sorts stably on the suffix keys alone (its prefix
+/// columns are all equal, so this equals the full-key sort), and
+/// concatenating groups in arrival order reproduces the global stable
+/// sort bit for bit. Under a memory
 /// budget every group feeds a per-group [`RunFormer`], so a single
 /// oversized group external-sorts exactly like the bounded [`SortOp`].
 struct SegmentedSortOp {
@@ -957,16 +948,12 @@ struct SegmentedSortOp {
     /// Prefix keys (boundary detection) and suffix keys (per-group sort).
     pkeys: SortKeys,
     skeys: SortKeys,
-    /// Prefix key positions for the legacy comparator path.
-    ppos: Vec<usize>,
-    /// Current group: rows plus their suffix-key arena (codec path).
+    /// Current group: rows plus their suffix-key arena.
     grp_rows: Vec<Row>,
     grp_kb: Vec<u8>,
     grp_ko: Vec<usize>,
-    /// Current group's prefix identity: encoded bytes (codec path) or a
-    /// representative row (legacy path).
+    /// Current group's prefix identity (its encoded prefix keys).
     lead_enc: Vec<u8>,
-    lead_row: Option<Row>,
     group_started: bool,
     /// Per-group run former (present only under a memory budget).
     former: Option<RunFormer>,
@@ -992,14 +979,12 @@ impl SegmentedSortOp {
         };
         SegmentedSortOp {
             child,
-            ppos: pkeys.iter().map(|&(p, _)| p).collect(),
             pkeys,
             skeys,
             grp_rows: Vec::new(),
             grp_kb: Vec::new(),
             grp_ko: vec![0],
             lead_enc: Vec::new(),
-            lead_row: None,
             group_started: false,
             former: None,
             emits: VecDeque::new(),
@@ -1011,7 +996,7 @@ impl SegmentedSortOp {
     /// Sorts and queues the current group for emission (no-op when no
     /// group is open). Counts one formed group toward the process-wide
     /// segmented-sort statistics.
-    fn seal_group(&mut self, cx: &ExecContext<'_>, io: &mut IoStats) {
+    fn seal_group(&mut self, io: &mut IoStats) {
         if !self.group_started {
             return;
         }
@@ -1028,11 +1013,7 @@ impl SegmentedSortOp {
         } else {
             let mut rows = std::mem::take(&mut self.grp_rows);
             io.sort_rows += rows.len() as u64;
-            if cx.sort_key_codec {
-                sortkernel::sort_rows_arena(&mut rows, &self.grp_kb, &self.grp_ko, &self.skeys);
-            } else {
-                sortkernel::sort_rows_with(&mut rows, &self.skeys, false);
-            }
+            sortkernel::sort_rows_arena(&mut rows, &self.grp_kb, &self.grp_ko, &self.skeys);
             self.emits.push_back(SegmentEmit::Mem(rows, 0));
         }
         self.grp_kb.clear();
@@ -1043,47 +1024,30 @@ impl SegmentedSortOp {
 
     /// Absorbs one input batch, sealing groups at every prefix boundary.
     fn absorb(&mut self, batch: &Batch, cx: &ExecContext<'_>, io: &mut IoStats) {
-        let codec = cx.sort_key_codec;
         let (mut pb, mut po) = (Vec::new(), Vec::new());
         let (mut sb, mut so) = (Vec::new(), Vec::new());
-        if codec {
-            encode_batch_keys_arena(batch, &self.pkeys, &mut pb, &mut po);
-            encode_batch_keys_arena(batch, &self.skeys, &mut sb, &mut so);
-        }
+        encode_batch_keys_arena(batch, &self.pkeys, &mut pb, &mut po);
+        encode_batch_keys_arena(batch, &self.skeys, &mut sb, &mut so);
         for i in 0..batch.len() {
             let row = batch.row(i);
-            let pref = codec.then(|| &pb[po[i]..po[i + 1]]);
-            let boundary = self.group_started
-                && match &pref {
-                    Some(pref) => **pref != self.lead_enc[..],
-                    None => {
-                        let lead = self.lead_row.as_ref().expect("open group without lead");
-                        !same_key(lead, &row, &self.ppos)
-                    }
-                };
-            if boundary {
-                self.seal_group(cx, io);
+            let pref = &pb[po[i]..po[i + 1]];
+            if self.group_started && pref != self.lead_enc.as_slice() {
+                self.seal_group(io);
             }
             if !self.group_started {
                 self.group_started = true;
-                match &pref {
-                    Some(pref) => {
-                        self.lead_enc.clear();
-                        self.lead_enc.extend_from_slice(pref);
-                    }
-                    None => self.lead_row = Some(row.clone()),
-                }
+                self.lead_enc.clear();
+                self.lead_enc.extend_from_slice(pref);
                 if let Some(budget) = cx.memory_budget {
-                    self.former = Some(RunFormer::new(budget, codec, self.skeys.clone()));
+                    self.former = Some(RunFormer::new(budget, self.skeys.clone()));
                 }
             }
+            let skey = &sb[so[i]..so[i + 1]];
             match &mut self.former {
-                Some(former) => former.push(row, codec.then(|| &sb[so[i]..so[i + 1]]), io),
+                Some(former) => former.push(row, skey, io),
                 None => {
-                    if codec {
-                        self.grp_kb.extend_from_slice(&sb[so[i]..so[i + 1]]);
-                        self.grp_ko.push(self.grp_kb.len());
-                    }
+                    self.grp_kb.extend_from_slice(skey);
+                    self.grp_ko.push(self.grp_kb.len());
                     self.grp_rows.push(row);
                 }
             }
@@ -1120,7 +1084,7 @@ impl Operator for SegmentedSortOp {
                 Some(SegmentEmit::Spill(s)) => {
                     let mut rows = Vec::with_capacity(cx.batch_size);
                     while rows.len() < cx.batch_size {
-                        match s.next_row(&self.skeys, io) {
+                        match s.next_row(io) {
                             Some(row) => rows.push(row),
                             None => break,
                         }
@@ -1141,7 +1105,7 @@ impl Operator for SegmentedSortOp {
                 None => {
                     self.input_done = true;
                     self.child.close();
-                    self.seal_group(cx, io);
+                    self.seal_group(io);
                 }
             }
         }
@@ -1209,8 +1173,12 @@ impl Operator for TopNOp {
         if let Some(budget) = cx.memory_budget {
             return self.open_bounded(budget, cx, io);
         }
-        let rows = drain_all(&mut self.child, cx, io)?;
-        let top = sortkernel::top_n_with(rows, &self.keys, self.n as usize, cx.sort_key_codec);
+        let tagged: Vec<(u64, Row)> = drain_all(&mut self.child, cx, io)?
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| (i as u64, r))
+            .collect();
+        let top = sortkernel::top_n_run(tagged, &self.keys, self.n as usize).rows;
         io.sort_rows += top.len() as u64;
         self.buf = top;
         self.pos = 0;
@@ -1766,16 +1734,12 @@ impl Operator for IndexNestedLoopJoinOp {
             for oi in 0..batch.len() {
                 let orow = batch.row(oi);
                 let key = key_of(&orow, &self.probe_pos);
-                io.index_pages += 1; // descent touches one leaf
-                                     // Codec path: encode the probe once, binary-search the
-                                     // index's stored normalized keys by memcmp. Identical
-                                     // hits either way (asserted in the storage tests).
-                let hits = if cx.sort_key_codec {
-                    ix.probe_encoded(&ix.encode_probe(&key))
-                } else {
-                    ix.probe(&key)
-                };
-                for (_, rid) in hits {
+                // The descent touches one leaf. The probe encodes once and
+                // binary-searches the index's stored normalized keys by
+                // memcmp (same hits as `Index::probe`, asserted in the
+                // storage tests).
+                io.index_pages += 1;
+                for (_, rid) in ix.probe_encoded(&ix.encode_probe(&key)) {
                     // Probe fetches share the budgeted buffer pool with
                     // the scans (keyed by table id); unbounded executions
                     // charge exactly as before.
@@ -1811,10 +1775,10 @@ const JOIN_SPILL_GROUP_ROWS: usize = 256;
 /// Where a hash-join build row lives: resident at slot `i` of the
 /// build's `mem` batch, or at `row` inside spilled column-page group
 /// `group`. Either way the table entry vector keeps rows in build
-/// (arrival) order, so match order — and with it output order — is
-/// identical on both paths.
+/// (arrival) order, so match order — and with it output order — does
+/// not depend on which rows spilled.
 #[derive(Clone, Copy)]
-pub(crate) enum BuildRef {
+enum BuildRef {
     Mem(u32),
     Spilled { group: u32, row: u32 },
 }
@@ -1824,9 +1788,9 @@ pub(crate) enum BuildRef {
 /// `Value` equality by codec canonicalization), resident rows gather
 /// into columnar segments, and overflow rows past the memory budget
 /// spill as [`JOIN_SPILL_GROUP_ROWS`]-row column pages
-/// ([`spill::write_batch`]). Shared by the vectorized operators and the
-/// row-shim baselines so both charge identical [`IoStats`].
-pub(crate) struct JoinBuild {
+/// ([`spill::write_batch`]). Shared by the hash and left-outer join
+/// operators.
+struct JoinBuild {
     ipos: Vec<usize>,
     ikeys: SortKeys,
     /// Whether equi keys exist. NULL-key build rows are dropped when
@@ -1839,9 +1803,9 @@ pub(crate) struct JoinBuild {
     mem: Batch,
     mem_rows: u32,
     bytes: usize,
-    pub(crate) table: HashMap<Vec<u8>, Vec<BuildRef>>,
+    table: HashMap<Vec<u8>, Vec<BuildRef>>,
     /// All build refs in arrival order (non-keyed path).
-    pub(crate) refs: Vec<BuildRef>,
+    refs: Vec<BuildRef>,
     /// Overflow rows not yet sealed into a spilled group.
     pending: VecDeque<Batch>,
     pending_rows: usize,
@@ -1854,7 +1818,7 @@ pub(crate) struct JoinBuild {
 }
 
 impl JoinBuild {
-    pub(crate) fn new(ipos: Vec<usize>, keyed: bool, arity: usize) -> JoinBuild {
+    fn new(ipos: Vec<usize>, keyed: bool, arity: usize) -> JoinBuild {
         JoinBuild {
             ikeys: ipos.iter().map(|&p| (p, Direction::Asc)).collect(),
             ipos,
@@ -1875,7 +1839,7 @@ impl JoinBuild {
         }
     }
 
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.segs.clear();
         self.mem = Batch::empty(self.arity);
         self.mem_rows = 0;
@@ -1892,10 +1856,10 @@ impl JoinBuild {
 
     /// Absorbs one build batch: rows that fit the budget stay resident
     /// (gathered into a columnar segment), overflow rows queue toward
-    /// the next spilled group. Admission order and per-row costs
-    /// ([`batch_row_bytes`] ≡ `row_bytes`) match the row-at-a-time
-    /// build exactly, so the same rows land on the same side.
-    pub(crate) fn absorb(
+    /// the next spilled group, in arrival order. Per-row costs are
+    /// [`batch_row_bytes`] (≡ `row_bytes`), the measure every budgeted
+    /// operator uses.
+    fn absorb(
         &mut self,
         batch: &Batch,
         budget: Option<usize>,
@@ -1988,7 +1952,7 @@ impl JoinBuild {
         }
     }
 
-    pub(crate) fn finish(&mut self, io: &mut IoStats) {
+    fn finish(&mut self, io: &mut IoStats) {
         self.flush_groups(true, io);
         self.mem = Batch::concat(self.arity, &std::mem::take(&mut self.segs));
         if !self.file.is_empty() {
@@ -1998,7 +1962,7 @@ impl JoinBuild {
 
     /// Re-reads (and decodes) one spilled group, through the
     /// single-entry cache.
-    pub(crate) fn group_batch(&mut self, g: u32, io: &mut IoStats) -> Batch {
+    fn group_batch(&mut self, g: u32, io: &mut IoStats) -> Batch {
         if let Some((cg, b)) = &self.cache {
             if *cg == g {
                 return b.clone();
@@ -2012,19 +1976,11 @@ impl JoinBuild {
         batch
     }
 
-    /// Materializes the single build row behind a ref (row-shim probe).
-    pub(crate) fn build_row(&mut self, r: BuildRef, io: &mut IoStats) -> Row {
-        match r {
-            BuildRef::Mem(i) => self.mem.row(i as usize),
-            BuildRef::Spilled { group, row } => self.group_batch(group, io).row(row as usize),
-        }
-    }
-
     /// Assembles the candidate batch for one probe batch: outer columns
     /// gathered by `osel` (probe row of the j-th candidate), build
     /// columns gathered from `mem` and any spilled groups by `brefs` —
     /// all Arc-shared, no per-row concat.
-    pub(crate) fn candidates(
+    fn candidates(
         &mut self,
         outer: &Batch,
         osel: &[u32],
@@ -2034,8 +1990,8 @@ impl JoinBuild {
         let mut sources: Vec<Batch> = vec![self.mem.clone()];
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(brefs.len());
         // Consecutive refs into the same spilled group share one source
-        // slot, so decode charges mirror the row-shim's per-match
-        // `group_batch` calls through the same cache.
+        // slot, so a run of matches in one group decodes it once through
+        // the single-entry cache.
         let mut last: Option<(u32, u32)> = None;
         for &r in brefs {
             match r {
@@ -2392,11 +2348,6 @@ fn merge_take_group(
     Ok(side.win.slice(start, end - start))
 }
 
-pub(crate) fn same_key(a: &Row, b: &Row, kpos: &[usize]) -> bool {
-    kpos.iter()
-        .all(|&p| a[p].total_cmp(&b[p]) == Ordering::Equal)
-}
-
 /// Merge join, vectorized: both sides advance on encoded key columns
 /// with memcmp (the per-column encodings are prefix-free, so comparing
 /// the concatenated keys ≡ the zipped `total_cmp` walk), tie groups cut
@@ -2509,7 +2460,7 @@ impl Operator for MergeJoinOp {
 /// at the subtree root's reserved id, so worker wrappers record into the
 /// already-reserved slots. Workers always lower with `threads = 1`, so
 /// exchanges never nest.
-pub(crate) struct LowerCx {
+struct LowerCx {
     slots: Option<Arc<Mutex<Vec<OpMetrics>>>>,
     push: bool,
     next_id: usize,
@@ -2517,24 +2468,16 @@ pub(crate) struct LowerCx {
     /// `Some((part, parts))` while lowering one worker's partition of an
     /// exchanged subtree: scans restrict themselves to that partition.
     partition: Option<(usize, usize)>,
-    /// Lower to the row-at-a-time baseline operators ([`crate::rowshim`])
-    /// instead of the vectorized ones — see [`ExecOptions::row_shim`].
-    row_shim: bool,
 }
 
 impl LowerCx {
-    pub(crate) fn new(
-        slots: Option<Arc<Mutex<Vec<OpMetrics>>>>,
-        threads: usize,
-        row_shim: bool,
-    ) -> LowerCx {
+    fn new(slots: Option<Arc<Mutex<Vec<OpMetrics>>>>, threads: usize) -> LowerCx {
         LowerCx {
             slots,
             push: true,
             next_id: 0,
             threads,
             partition: None,
-            row_shim,
         }
     }
 }
@@ -2556,9 +2499,6 @@ pub(crate) fn lower_worker(
         next_id: base_id,
         threads: 1,
         partition: Some((part, parts)),
-        // Partitionable pipelines are scan/filter/project chains — none
-        // of the shimmed operators can appear inside one.
-        row_shim: false,
     };
     lower_impl(plan, &mut lw)
 }
@@ -2646,7 +2586,7 @@ impl Operator for InstrumentedOp {
 }
 
 fn lower(plan: &Plan) -> Result<Box<dyn Operator>> {
-    lower_impl(plan, &mut LowerCx::new(None, 1, false))
+    lower_impl(plan, &mut LowerCx::new(None, 1))
 }
 
 /// True when a subtree can run partitioned: a chain of filters and
@@ -2884,29 +2824,16 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
         } => {
             let okpos = positions(&outer.layout, outer_keys)?;
             let ikpos = positions(&inner.layout, inner_keys)?;
-            let o = lower_impl(outer, lw)?;
-            let i = lower_impl(inner, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::MergeJoinOp::new(
-                    o,
-                    i,
-                    okpos,
-                    ikpos,
-                    predicates.clone(),
-                    plan.layout.clone(),
-                ))
-            } else {
-                Box::new(MergeJoinOp {
-                    o: MergeSide::new(okpos),
-                    i: MergeSide::new(ikpos),
-                    outer: o,
-                    inner: i,
-                    predicates: predicates.clone(),
-                    layout: plan.layout.clone(),
-                    done: false,
-                    out: BatchQueue::default(),
-                })
-            }
+            Box::new(MergeJoinOp {
+                o: MergeSide::new(okpos),
+                i: MergeSide::new(ikpos),
+                outer: lower_impl(outer, lw)?,
+                inner: lower_impl(inner, lw)?,
+                predicates: predicates.clone(),
+                layout: plan.layout.clone(),
+                done: false,
+                out: BatchQueue::default(),
+            })
         }
         PlanNode::LeftOuterJoin {
             outer,
@@ -2922,32 +2849,17 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
                 keyed,
                 inner.layout.arity(),
             );
-            let o = lower_impl(outer, lw)?;
-            let i = lower_drained(inner, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::LeftOuterJoinOp::new(
-                    o,
-                    i,
-                    opos,
-                    keyed,
-                    inner.layout.arity(),
-                    build,
-                    predicates.clone(),
-                    plan.layout.clone(),
-                ))
-            } else {
-                Box::new(LeftOuterJoinOp {
-                    okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
-                    opos,
-                    keyed,
-                    build,
-                    outer: o,
-                    inner: i,
-                    predicates: predicates.clone(),
-                    layout: plan.layout.clone(),
-                    out: BatchQueue::default(),
-                })
-            }
+            Box::new(LeftOuterJoinOp {
+                okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
+                opos,
+                keyed,
+                build,
+                outer: lower_impl(outer, lw)?,
+                inner: lower_drained(inner, lw)?,
+                predicates: predicates.clone(),
+                layout: plan.layout.clone(),
+                out: BatchQueue::default(),
+            })
         }
         PlanNode::HashJoin {
             outer,
@@ -2962,29 +2874,16 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
                 true,
                 inner.layout.arity(),
             );
-            let o = lower_impl(outer, lw)?;
-            let i = lower_drained(inner, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::HashJoinOp::new(
-                    o,
-                    i,
-                    opos,
-                    build,
-                    predicates.clone(),
-                    plan.layout.clone(),
-                ))
-            } else {
-                Box::new(HashJoinOp {
-                    okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
-                    opos,
-                    build,
-                    outer: o,
-                    inner: i,
-                    predicates: predicates.clone(),
-                    layout: plan.layout.clone(),
-                    out: BatchQueue::default(),
-                })
-            }
+            Box::new(HashJoinOp {
+                okeys: opos.iter().map(|&p| (p, Direction::Asc)).collect(),
+                opos,
+                build,
+                outer: lower_impl(outer, lw)?,
+                inner: lower_drained(inner, lw)?,
+                predicates: predicates.clone(),
+                layout: plan.layout.clone(),
+                out: BatchQueue::default(),
+            })
         }
         PlanNode::StreamGroupBy {
             input,
@@ -2992,30 +2891,19 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             aggs,
         } => {
             let gpos = positions(&input.layout, grouping)?;
-            let child = lower_impl(input, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::StreamGroupByOp::new(
-                    child,
-                    aggs.clone(),
-                    input.layout.clone(),
-                    gpos,
-                    grouping.is_empty(),
-                ))
-            } else {
-                Box::new(StreamGroupByOp {
-                    gkeys: gpos.iter().map(|&p| (p, Direction::Asc)).collect(),
-                    gpos,
-                    args: aggs.iter().map(|(_, c)| c.arg.clone()).collect(),
-                    grouping_is_empty: grouping.is_empty(),
-                    child,
-                    aggs: aggs.clone(),
-                    layout: input.layout.clone(),
-                    current: None,
-                    saw_input: false,
-                    input_done: false,
-                    out: OutQueue::default(),
-                })
-            }
+            Box::new(StreamGroupByOp {
+                gkeys: gpos.iter().map(|&p| (p, Direction::Asc)).collect(),
+                gpos,
+                args: aggs.iter().map(|(_, c)| c.arg.clone()).collect(),
+                grouping_is_empty: grouping.is_empty(),
+                child: lower_impl(input, lw)?,
+                aggs: aggs.clone(),
+                layout: input.layout.clone(),
+                current: None,
+                saw_input: false,
+                input_done: false,
+                out: OutQueue::default(),
+            })
         }
         PlanNode::HashGroupBy {
             input,
@@ -3029,28 +2917,14 @@ fn lower_impl(plan: &Plan, lw: &mut LowerCx) -> Result<Box<dyn Operator>> {
             buf: Vec::new(),
             pos: 0,
         }),
-        PlanNode::StreamDistinct { input } => {
-            let child = lower_impl(input, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::StreamDistinctOp::new(child))
-            } else {
-                Box::new(StreamDistinctOp {
-                    child,
-                    last_key: None,
-                })
-            }
-        }
-        PlanNode::HashDistinct { input } => {
-            let child = lower_impl(input, lw)?;
-            if lw.row_shim {
-                Box::new(rowshim::HashDistinctOp::new(child))
-            } else {
-                Box::new(HashDistinctOp {
-                    child,
-                    seen_keys: HashSet::new(),
-                })
-            }
-        }
+        PlanNode::StreamDistinct { input } => Box::new(StreamDistinctOp {
+            child: lower_impl(input, lw)?,
+            last_key: None,
+        }),
+        PlanNode::HashDistinct { input } => Box::new(HashDistinctOp {
+            child: lower_impl(input, lw)?,
+            seen_keys: HashSet::new(),
+        }),
         PlanNode::UnionAll { inputs } => Box::new(UnionAllOp {
             children: inputs
                 .iter()

@@ -51,12 +51,12 @@ pub struct OptimizerConfig {
     /// `p > 1` lets lowering insert exchange operators that fan pipeline
     /// segments out over `p` workers.
     pub threads: usize,
-    /// Use normalized binary sort keys (the `fto_common::sortkey` codec)
-    /// in the execution engine: sorts, exchange merges, merge-join tie
-    /// detection, and index probes compare memcmp-able byte strings
-    /// instead of walking `Value`s. Output is bit-identical either way
-    /// (the differential suite runs both); off keeps the legacy
-    /// `Value`-comparator paths.
+    /// Retired switch, kept only because the benchmark harness
+    /// (`benchmark/src/trace.rs`) copies it into `fto_exec::ExecOptions`.
+    /// Must stay `true` (the default): the executor always sorts by
+    /// normalized binary keys, and `Session::plan` returns an error for
+    /// `false`.
+    #[doc(hidden)]
     pub sort_key_codec: bool,
     /// Consider segmented (partial) sorts: when the input's order
     /// property already satisfies a prefix of a sort requirement, the
@@ -74,12 +74,12 @@ pub struct OptimizerConfig {
     /// bounded buffer pool of `budget / PAGE_SIZE` frames. Results are
     /// bit-identical to unbounded execution at any budget.
     pub memory_budget: Option<usize>,
-    /// Test-only baseline: execute the distinct, stream group-by, and
-    /// join operators through their pre-vectorization row-at-a-time
-    /// implementations instead of the columnar ones. Rows and I/O
-    /// accounting are bit-identical either way (the differential suite
-    /// proves it); the flag exists so tests and benches can compare the
-    /// two. Default off.
+    /// Retired switch, kept only because the benchmark harness
+    /// (`benchmark/src/trace.rs`) copies it into `fto_exec::ExecOptions`.
+    /// Must stay `false` (the default): the executor has no
+    /// row-at-a-time operators, and `Session::plan` returns an error for
+    /// `true`.
+    #[doc(hidden)]
     pub row_shim: bool,
 }
 
@@ -199,21 +199,6 @@ impl OptimizerConfig {
         self
     }
 
-    /// Enables or disables the normalized binary sort-key codec in the
-    /// execution engine (default on).
-    pub fn with_sort_key_codec(mut self, on: bool) -> Self {
-        self.sort_key_codec = on;
-        self
-    }
-
-    /// Test-only: routes the distinct, stream group-by, and join
-    /// operators through their row-at-a-time baseline implementations
-    /// (default off). See [`OptimizerConfig::row_shim`].
-    pub fn with_row_shim(mut self, on: bool) -> Self {
-        self.row_shim = on;
-        self
-    }
-
     /// Enables or disables segmented (partial) sort enforcers (default
     /// on). See [`OptimizerConfig::enable_segmented_sort`].
     pub fn with_segmented_sort(mut self, on: bool) -> Self {
@@ -263,7 +248,6 @@ mod tests {
         assert!(c.enable_merge_join && c.enable_hash_join && c.enable_nested_loop);
         assert_eq!(c.batch_size, 1024);
         assert_eq!(c.threads, 1);
-        assert!(c.sort_key_codec);
         assert!(c.enable_segmented_sort);
         assert_eq!(c.memory_budget, None);
     }
@@ -297,9 +281,7 @@ mod tests {
             .with_nested_loop(false)
             .with_max_sort_ahead(9)
             .with_batch_size(0)
-            .with_threads(0)
-            .with_sort_key_codec(false);
-        assert!(!c.sort_key_codec);
+            .with_threads(0);
         assert!(!c.enable_merge_join);
         assert!(!c.enable_nested_loop);
         assert_eq!(c.max_sort_ahead, 9);

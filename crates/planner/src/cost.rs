@@ -16,14 +16,10 @@ pub const RAND_PAGE: f64 = 4.0;
 pub const CPU_ROW: f64 = 0.001;
 /// CPU cost of one comparison inside a sort.
 ///
-/// Calibrated for the executor's default normalized-key path
+/// Calibrated for the executor's normalized-key sort
 /// ([`fto_common::sortkey`]): a comparison is a `memcmp` of two short
 /// byte strings, not a per-column `Value` dispatch, so it prices the
-/// same as a hash-table op ([`CPU_HASH`]). The legacy comparator
-/// (`sort_key_codec` off) is slower per comparison in wall-clock but
-/// identical in comparison *count*, and the model deliberately prices
-/// the default; see the sort-kernel microbench in `perfbench` for
-/// the measured gap.
+/// same as a hash-table op ([`CPU_HASH`]).
 pub const CPU_SORT_CMP: f64 = 0.002;
 /// CPU cost of one hash-table insert/lookup.
 pub const CPU_HASH: f64 = 0.002;

@@ -390,7 +390,7 @@ fn bind_plain_select(
         match item {
             SelectItem::Wildcard => {
                 for (col, name) in scope.all_cols() {
-                    outputs.push(OutputCol::passthrough(col));
+                    outputs.push(column_output(graph, sel, &outputs, col, &name));
                     names.push(name);
                 }
             }
@@ -398,12 +398,11 @@ fn bind_plain_select(
                 let e = bind_expr(scope, expr)?;
                 match e.as_col() {
                     Some(c) => {
-                        outputs.push(OutputCol::passthrough(c));
-                        names.push(
-                            alias
-                                .clone()
-                                .unwrap_or_else(|| graph.registry.name(c).to_string()),
-                        );
+                        let name = alias
+                            .clone()
+                            .unwrap_or_else(|| graph.registry.name(c).to_string());
+                        outputs.push(column_output(graph, sel, &outputs, c, &name));
+                        names.push(name);
                     }
                     None => {
                         let name = alias.clone().unwrap_or_else(|| format!("col{}", i + 1));
@@ -550,7 +549,7 @@ fn bind_aggregate_select(
     let mut names = Vec::new();
     for item in final_items {
         let (output, name) = match item {
-            FinalItem::Pass(c, name) => (OutputCol::passthrough(c), name),
+            FinalItem::Pass(c, name) => (column_output(graph, fin, &outputs, c, &name), name),
             FinalItem::Computed(e, name) => {
                 let col = graph.fresh_derived(fin, name.clone(), expr_type(&e));
                 (
@@ -561,7 +560,9 @@ fn bind_aggregate_select(
                     name,
                 )
             }
-            FinalItem::AggSlot(i, name) => (OutputCol::passthrough(aggs[i].1), name),
+            FinalItem::AggSlot(i, name) => {
+                (column_output(graph, fin, &outputs, aggs[i].1, &name), name)
+            }
         };
         outputs.push(output);
         names.push(name);
@@ -573,6 +574,28 @@ fn bind_aggregate_select(
     b.output_order = order;
     b.limit = q.limit;
     Ok(fin)
+}
+
+/// The output for a select item whose value is column `c`: a pass-through
+/// the first time `c` appears in `outputs`, a fresh derived copy of it
+/// after that. Every output position thus gets its own `ColId` (a row
+/// layout maps each id to exactly one position), and ORDER BY on the
+/// column resolves to the first occurrence.
+fn column_output(
+    graph: &mut QueryGraph,
+    box_id: BoxId,
+    outputs: &[OutputCol],
+    c: ColId,
+    name: &str,
+) -> OutputCol {
+    if !outputs.iter().any(|o| o.col == c) {
+        return OutputCol::passthrough(c);
+    }
+    let data_type = graph.registry.info(c).data_type;
+    OutputCol {
+        col: graph.fresh_derived(box_id, name, data_type),
+        expr: OutputExpr::Scalar(Expr::col(c)),
+    }
 }
 
 /// Resolves ORDER BY items against the output list (aliases and ordinals)

@@ -111,12 +111,29 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                         _ => break,
                     }
                 }
+                // Exponent: `e`/`E`, an optional sign, then digits.
+                if matches!(bytes.get(j), Some(b'e' | b'E')) {
+                    let digits_at =
+                        j + 1 + usize::from(matches!(bytes.get(j + 1), Some(b'+' | b'-')));
+                    if bytes.get(digits_at).is_some_and(|b| b.is_ascii_digit()) {
+                        is_float = true;
+                        j = digits_at;
+                        while bytes.get(j).is_some_and(|b| b.is_ascii_digit()) {
+                            j += 1;
+                        }
+                    }
+                }
                 let text = &input[start..j];
                 if is_float {
-                    tokens
-                        .push(Token::Float(text.parse().map_err(|_| {
-                            FtoError::Parse(format!("bad number '{text}'"))
-                        })?));
+                    let v: f64 = text
+                        .parse()
+                        .map_err(|_| FtoError::Parse(format!("bad number '{text}'")))?;
+                    if !v.is_finite() {
+                        return Err(FtoError::Parse(format!(
+                            "numeric literal '{text}' is out of range"
+                        )));
+                    }
+                    tokens.push(Token::Float(v));
                 } else {
                     tokens
                         .push(Token::Int(text.parse().map_err(|_| {
@@ -182,6 +199,38 @@ mod tests {
             t,
             vec![Token::Int(1), Token::Float(2.5), Token::Float(0.01)]
         );
+    }
+
+    #[test]
+    fn exponent_literals() {
+        let t = tokenize("1e308 1.5e3 2E-5 7e+2").unwrap();
+        assert_eq!(
+            t,
+            vec![
+                Token::Float(1e308),
+                Token::Float(1500.0),
+                Token::Float(2e-5),
+                Token::Float(700.0),
+            ]
+        );
+        // An `e` not followed by exponent digits is not part of the number.
+        let t = tokenize("2e x").unwrap();
+        assert_eq!(
+            t,
+            vec![
+                Token::Int(2),
+                Token::Ident("e".into()),
+                Token::Ident("x".into())
+            ]
+        );
+    }
+
+    #[test]
+    fn exponent_overflow_is_an_error() {
+        let err = tokenize("1e309").unwrap_err();
+        assert!(matches!(err, FtoError::Parse(_)), "{err:?}");
+        assert!(err.to_string().contains("out of range"), "{err}");
+        assert!(tokenize("-1.5e400").is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential testing of the two execution engines: every query in the
 //! workload corpus must produce identical rows, in identical order,
 //! through the streaming batched executor and the materializing
-//! reference interpreter — under every optimizer configuration and
-//! across batch sizes. Plus the I/O property the streaming engine
+//! reference interpreter — under every optimizer configuration, across
+//! batch sizes and parallel degrees. Plus the I/O property the streaming engine
 //! exists for: LIMIT stops paying for pages it never reads.
 
 use fto_bench::corpus::{emp_db, EMP_QUERIES};
@@ -31,10 +31,6 @@ fn all_configs() -> Vec<OptimizerConfig> {
         OptimizerConfig::default()
             .with_hash_join(false)
             .with_nested_loop(false),
-        // Legacy Value-comparator sort paths (normalized-key codec off):
-        // the interpreter comparison must hold in both key representations.
-        OptimizerConfig::default().with_sort_key_codec(false),
-        OptimizerConfig::db2_1996().with_sort_key_codec(false),
     ];
     if let Some(p) = env_threads() {
         for base in configs.clone() {
@@ -100,6 +96,7 @@ fn tpcd_workload_agrees_across_engines() {
         queries::q3("1994-06-30", "automobile"),
         queries::q3("1996-01-01", "machinery"),
         queries::q3("1993-12-31", "household"),
+        DUPLICATE_SELECT_ITEM.to_string(),
     ];
     let mut configs = vec![
         OptimizerConfig::default(),
@@ -107,17 +104,10 @@ fn tpcd_workload_agrees_across_engines() {
         OptimizerConfig::db2_1996(),
         OptimizerConfig::db2_1996_disabled(),
         OptimizerConfig::default().with_batch_size(13),
-        OptimizerConfig::default().with_sort_key_codec(false),
-        OptimizerConfig::db2_1996().with_sort_key_codec(false),
     ];
     if let Some(p) = env_threads() {
         configs.push(OptimizerConfig::default().with_threads(p));
         configs.push(OptimizerConfig::db2_1996().with_threads(p));
-        configs.push(
-            OptimizerConfig::default()
-                .with_threads(p)
-                .with_sort_key_codec(false),
-        );
     }
     for sql in &workload {
         for config in configs.clone() {
@@ -127,44 +117,13 @@ fn tpcd_workload_agrees_across_engines() {
 }
 
 #[test]
-fn sort_key_codec_output_is_bit_identical_to_legacy() {
-    // The streaming engine's two key representations — normalized binary
-    // sort keys (memcmp) and the legacy Value comparator — must produce
-    // byte-identical rows in byte-identical order on every corpus query,
-    // serial and parallel, and the codec must actually run (key bytes
-    // get encoded) whenever the plan sorts.
-    let db = emp_db();
-    let mut degrees = vec![1usize];
-    degrees.extend(env_threads());
-    for sql in EMP_QUERIES {
-        for &p in &degrees {
-            let base = OptimizerConfig::default().with_threads(p);
-            let on = Session::new(&db)
-                .config(base.clone().with_sort_key_codec(true))
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}\ncodec on, threads {p}: {e}"));
-            let off = Session::new(&db)
-                .config(base.with_sort_key_codec(false))
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}\ncodec off, threads {p}: {e}"));
-            assert_eq!(
-                on.rows(),
-                off.rows(),
-                "codec on/off mismatch\nsql: {sql}\nthreads: {p}"
-            );
-            assert_eq!(on.io, off.io, "I/O accounting diverged\nsql: {sql}");
-        }
-    }
-}
-
-#[test]
 fn distinct_on_encoded_keys_matches_value_comparison() {
-    // The distinct operators dedup on arena-encoded key bytes when the
-    // codec is on (byte equality standing in for Value equality, with
-    // the codec's canonicalization of Int/Double, NaN, and signed
-    // zero). Both distinct shapes — stream (ordered input) and hash
-    // (first-seen) — must emit byte-identical rows either way, serial
-    // and parallel, and agree with the interpreter.
+    // The distinct operators dedup on arena-encoded key bytes (byte
+    // equality standing in for Value equality, with the codec's
+    // canonicalization of Int/Double, NaN, and signed zero). Both
+    // distinct shapes — stream (ordered input) and hash (first-seen) —
+    // must agree with the interpreter, which compares `Value`s, serial
+    // and parallel.
     let db = emp_db();
     let queries = [
         "select distinct grade from emp order by grade",
@@ -174,93 +133,7 @@ fn distinct_on_encoded_keys_matches_value_comparison() {
     ];
     for sql in queries {
         for threads in [1usize, 2, 4] {
-            let base = OptimizerConfig::default().with_threads(threads);
-            let on = Session::new(&db)
-                .config(base.clone().with_sort_key_codec(true))
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}\ncodec on, threads {threads}: {e}"));
-            let off = Session::new(&db)
-                .config(base.clone().with_sort_key_codec(false))
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql}\ncodec off, threads {threads}: {e}"));
-            assert_eq!(
-                on.rows(),
-                off.rows(),
-                "distinct codec on/off mismatch\nsql: {sql}\nthreads: {threads}"
-            );
-            assert_engines_agree(&db, sql, base.with_sort_key_codec(true));
-        }
-    }
-}
-
-#[test]
-fn vectorized_operators_match_row_shim_baseline() {
-    // The columnar distinct, stream group-by, merge-join, hash-join,
-    // and left-outer-join operators against their pre-vectorization
-    // row-at-a-time implementations (`OptimizerConfig::with_row_shim`):
-    // rows AND the full I/O accounting must be bit-identical across
-    // threads × codec, under plan shapes that force each join flavor —
-    // and the vectorized side must agree with the interpreter.
-    let db = emp_db();
-    let queries = [
-        // Joins feeding grouped aggregation.
-        "select dept_name, count(*) as n, sum(salary) as total \
-         from dept, emp where dept_id = emp_dept group by dept_name order by dept_name",
-        // Three-way join.
-        "select e.emp_id, d.dept_name, b.emp_id from emp e, dept d, emp b \
-         where e.emp_dept = d.dept_id and b.emp_id = e.emp_id order by e.emp_id",
-        // Left outer join with ON residuals (matched and unmatched rows).
-        "select dept_id, emp_id from dept left join emp on dept_id = emp_dept and emp_id < 3 \
-         order by dept_id, emp_id",
-        "select dept_id, count(emp_id) as n from dept \
-         left join emp on dept_id = emp_dept and grade = 0 group by dept_id order by dept_id",
-        // Stream and hash distinct.
-        "select distinct emp_dept, grade from emp order by emp_dept, grade",
-        "select distinct salary, grade from emp",
-        // Stream group-by with the full accumulator inventory.
-        "select emp_dept, sum(salary * 2) as double_pay, avg(salary) as pay, \
-         min(salary) as lo, max(salary) as hi from emp group by emp_dept order by emp_dept",
-        "select emp_dept, count(distinct grade) as g from emp group by emp_dept order by emp_dept",
-    ];
-    let shapes = [
-        OptimizerConfig::default(),
-        // Order-based operators only: merge joins, stream group-by.
-        OptimizerConfig::db2_1996(),
-        // Hash join is the only join left on the menu.
-        OptimizerConfig::default()
-            .with_merge_join(false)
-            .with_nested_loop(false),
-    ];
-    for sql in queries {
-        for shape in &shapes {
-            for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = shape
-                        .clone()
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let vectorized = Session::new(&db)
-                        .config(config.clone())
-                        .execute(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nvectorized, {config:?}: {e}"));
-                    let shim = Session::new(&db)
-                        .config(config.clone().with_row_shim(true))
-                        .execute(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nrow shim, {config:?}: {e}"));
-                    assert_eq!(
-                        vectorized.rows(),
-                        shim.rows(),
-                        "vectorized rows diverged from the row-shim baseline\n\
-                         sql: {sql}\nthreads={threads} codec={codec}"
-                    );
-                    assert_eq!(
-                        vectorized.io, shim.io,
-                        "vectorized I/O diverged from the row-shim baseline\n\
-                         sql: {sql}\nthreads={threads} codec={codec}"
-                    );
-                    assert_engines_agree(&db, sql, config);
-                }
-            }
+            assert_engines_agree(&db, sql, OptimizerConfig::default().with_threads(threads));
         }
     }
 }
@@ -293,51 +166,108 @@ fn limit_reads_strictly_fewer_pages_than_materialized() {
     assert!(streamed.io.rows_read <= 16, "{}", streamed.io.rows_read);
 }
 
+/// Queries that push every join flavour, both distinct shapes, and the
+/// stream group-by's accumulators through the columnar operators.
+const OPERATOR_QUERIES: [&str; 8] = [
+    // Joins feeding grouped aggregation.
+    "select dept_name, count(*) as n, sum(salary) as total \
+     from dept, emp where dept_id = emp_dept group by dept_name order by dept_name",
+    // Three-way join.
+    "select e.emp_id, d.dept_name, b.emp_id from emp e, dept d, emp b \
+     where e.emp_dept = d.dept_id and b.emp_id = e.emp_id order by e.emp_id",
+    // Left outer join with ON residuals (matched and unmatched rows).
+    "select dept_id, emp_id from dept left join emp on dept_id = emp_dept and emp_id < 3 \
+     order by dept_id, emp_id",
+    "select dept_id, count(emp_id) as n from dept \
+     left join emp on dept_id = emp_dept and grade = 0 group by dept_id order by dept_id",
+    // Stream and hash distinct.
+    "select distinct emp_dept, grade from emp order by emp_dept, grade",
+    "select distinct salary, grade from emp",
+    // Stream group-by with the full accumulator inventory.
+    "select emp_dept, sum(salary * 2) as double_pay, avg(salary) as pay, \
+     min(salary) as lo, max(salary) as hi from emp group by emp_dept order by emp_dept",
+    "select emp_dept, count(distinct grade) as g from emp group by emp_dept order by emp_dept",
+];
+
+/// Plan shapes that force each join flavour: the default menu,
+/// order-based operators only (merge joins, stream group-by), and hash
+/// join as the only join left.
+fn join_shapes() -> [OptimizerConfig; 3] {
+    [
+        OptimizerConfig::default(),
+        OptimizerConfig::db2_1996(),
+        OptimizerConfig::default()
+            .with_merge_join(false)
+            .with_nested_loop(false),
+    ]
+}
+
+/// A repeated select item: both output columns carry the same value.
+const DUPLICATE_SELECT_ITEM: &str = "select o_orderkey, o_orderkey from orders order by o_orderkey";
+
+/// One cell of the columnar matrix: `sql` under `shape` at one batch
+/// size, across parallel degrees {1, 2, 4}. Rows must equal the
+/// interpreter's at every degree, and every degree must charge exactly
+/// the same I/O.
+fn assert_matrix_cell(db: &Database, sql: &str, shape: &OptimizerConfig, batch: usize) {
+    let mut baseline: Option<fto_storage::IoStats> = None;
+    for threads in [1usize, 2, 4] {
+        let config = shape.clone().with_batch_size(batch).with_threads(threads);
+        let prepared = Session::new(db)
+            .config(config.clone())
+            .plan(sql)
+            .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
+        let streamed = prepared
+            .execute()
+            .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
+        let materialized = prepared
+            .execute_materialized()
+            .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
+        assert_eq!(
+            streamed.rows(),
+            materialized.rows(),
+            "columnar engine diverged from interpreter\nsql: {sql}\n\
+             config: {config:?}\nplan:\n{}",
+            prepared.explain()
+        );
+        match &baseline {
+            None => baseline = Some(streamed.io),
+            Some(expected) => assert_eq!(
+                &streamed.io, expected,
+                "I/O diverged within batch={batch} cell\nsql: {sql}\n\
+                 config: {config:?}"
+            ),
+        }
+    }
+}
+
 #[test]
 fn columnar_matrix_batch_threads_codec() {
-    // The columnar executor against the row-at-a-time interpreter over
-    // the full matrix the batch representation can perturb: batch size
-    // (column boundaries), parallel degree (exchange merges of columnar
-    // partitions), and key codec (column-at-a-time vs per-value key
-    // encoding). Rows must be bit-identical everywhere, and within one
-    // (query, batch size) cell every thread/codec combination must
-    // charge exactly the same I/O.
+    // The columnar executor, with its normalized-key sort codec, against
+    // the row-at-a-time interpreter over the matrix the batch
+    // representation can perturb: batch size (column boundaries) and
+    // parallel degree (exchange merges of columnar partitions, compared
+    // on encoded key bytes). Every corpus query, default config.
     let db = emp_db();
     for sql in EMP_QUERIES {
         for batch in [1usize, 7, 1024] {
-            let mut baseline: Option<fto_storage::IoStats> = None;
-            for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_batch_size(batch)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let prepared = Session::new(&db)
-                        .config(config.clone())
-                        .plan(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-                    let streamed = prepared
-                        .execute()
-                        .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-                    let materialized = prepared
-                        .execute_materialized()
-                        .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
-                    assert_eq!(
-                        streamed.rows(),
-                        materialized.rows(),
-                        "columnar engine diverged from interpreter\nsql: {sql}\n\
-                         batch={batch} threads={threads} codec={codec}\nplan:\n{}",
-                        prepared.explain()
-                    );
-                    match &baseline {
-                        None => baseline = Some(streamed.io),
-                        Some(expected) => assert_eq!(
-                            &streamed.io, expected,
-                            "I/O diverged within batch={batch} cell\nsql: {sql}\n\
-                             threads={threads} codec={codec}"
-                        ),
-                    }
-                }
+            assert_matrix_cell(&db, sql, &OptimizerConfig::default(), batch);
+        }
+    }
+}
+
+#[test]
+fn vectorized_operators_match_row_shim_baseline() {
+    // The columnar distinct, stream group-by, merge-join, hash-join and
+    // left-outer-join operators under plan shapes that force each join
+    // flavour. The row-at-a-time operator copies this test once compared
+    // against are gone; the baseline is now the interpreter, across the
+    // same batch sizes and parallel degrees as the corpus matrix.
+    let db = emp_db();
+    for sql in OPERATOR_QUERIES {
+        for shape in join_shapes() {
+            for batch in [1usize, 7, 1024] {
+                assert_matrix_cell(&db, sql, &shape, batch);
             }
         }
     }
@@ -347,7 +277,7 @@ fn columnar_matrix_batch_threads_codec() {
 fn columnar_matrix_tpcd() {
     // The same matrix over the TPC-D workload (multi-way joins, grouped
     // aggregates, date filters), at a scale small enough to keep the
-    // 3×3×2 sweep per query affordable.
+    // 2×3 sweep per query affordable.
     let db = build_database(TpcdConfig {
         scale: 0.002,
         seed: 19,
@@ -358,17 +288,15 @@ fn columnar_matrix_tpcd() {
         queries::q1("1998-09-02"),
         queries::order_report(),
         queries::section6_example(),
+        DUPLICATE_SELECT_ITEM.to_string(),
     ];
     for sql in &workload {
         for batch in [3usize, 256] {
             for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_batch_size(batch)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    assert_engines_agree(&db, sql, config);
-                }
+                let config = OptimizerConfig::default()
+                    .with_batch_size(batch)
+                    .with_threads(threads);
+                assert_engines_agree(&db, sql, config);
             }
         }
     }

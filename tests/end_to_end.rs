@@ -149,6 +149,34 @@ fn single_table_order_by_key() {
 }
 
 #[test]
+fn repeated_select_items_each_get_a_column() {
+    // A column, a grouping column, and an aggregate each selected twice:
+    // every repeat is its own output column carrying the same value.
+    let db = test_db();
+    for sql in [
+        "select emp_id, emp_id, salary from emp where grade = 3 order by emp_id",
+        "select *, emp_id from emp where grade = 3 order by emp_id",
+        "select emp_dept, emp_dept, count(*) as n, count(*) as m from emp \
+         group by emp_dept order by emp_dept",
+    ] {
+        let rows = run_all_configs(&db, sql);
+        assert!(!rows.is_empty(), "{sql}");
+        for r in &rows {
+            let last = r.len() - 1;
+            let (a, b) = if sql.starts_with("select *") {
+                (&r[0], &r[last])
+            } else {
+                (&r[0], &r[1])
+            };
+            assert_eq!(a, b, "{sql}");
+            if sql.contains("count(*) as m") {
+                assert_eq!(r[2], r[3], "{sql}");
+            }
+        }
+    }
+}
+
+#[test]
 fn order_by_desc() {
     let db = test_db();
     let rows = run_all_configs(

@@ -2,8 +2,8 @@
 //! the stream below already delivers a prefix of the requested order
 //! (clustered index, ordered join output), the planner sorts only within
 //! prefix groups — and the output must stay bit-identical to the full
-//! sort, to the materializing interpreter, and to itself across threads,
-//! budgets, and both key representations.
+//! sort, to the materializing interpreter, and to itself across threads
+//! and budgets.
 
 use fto_bench::corpus::emp_db;
 use fto_bench::Session;
@@ -65,38 +65,34 @@ fn run_matrix(db: &Database, sql: &str) {
         .rows()
         .to_vec();
     for threads in [1usize, 2, 4] {
-        for codec in [true, false] {
-            for budget in [None, Some(4usize << 10)] {
-                let mut config = OptimizerConfig::default()
-                    .with_threads(threads)
-                    .with_sort_key_codec(codec);
-                if let Some(b) = budget {
-                    config = config.with_memory_budget(b);
-                }
-                let prepared = Session::new(db)
-                    .config(config)
-                    .plan(sql)
-                    .unwrap_or_else(|e| panic!("{sql}: {e}"));
-                let streamed = prepared.execute().unwrap_or_else(|e| {
-                    panic!("{sql}\nthreads={threads} codec={codec} budget={budget:?}: {e}")
-                });
-                assert_eq!(
-                    streamed.rows(),
-                    baseline,
-                    "segmented sort diverged from full sort\nsql: {sql}\n\
-                     threads={threads} codec={codec} budget={budget:?}\nplan:\n{}",
-                    prepared.explain()
-                );
-                let materialized = prepared.execute_materialized().unwrap_or_else(|e| {
-                    panic!("{sql}\nthreads={threads} codec={codec} budget={budget:?}: {e}")
-                });
-                assert_eq!(
-                    streamed.rows(),
-                    materialized.rows(),
-                    "segmented sort diverged from the interpreter\nsql: {sql}\n\
-                     threads={threads} codec={codec} budget={budget:?}"
-                );
+        for budget in [None, Some(4usize << 10)] {
+            let mut config = OptimizerConfig::default().with_threads(threads);
+            if let Some(b) = budget {
+                config = config.with_memory_budget(b);
             }
+            let prepared = Session::new(db)
+                .config(config)
+                .plan(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let streamed = prepared
+                .execute()
+                .unwrap_or_else(|e| panic!("{sql}\nthreads={threads} budget={budget:?}: {e}"));
+            assert_eq!(
+                streamed.rows(),
+                baseline,
+                "segmented sort diverged from full sort\nsql: {sql}\n\
+                 threads={threads} budget={budget:?}\nplan:\n{}",
+                prepared.explain()
+            );
+            let materialized = prepared
+                .execute_materialized()
+                .unwrap_or_else(|e| panic!("{sql}\nthreads={threads} budget={budget:?}: {e}"));
+            assert_eq!(
+                streamed.rows(),
+                materialized.rows(),
+                "segmented sort diverged from the interpreter\nsql: {sql}\n\
+                 threads={threads} budget={budget:?}"
+            );
         }
     }
 }

@@ -3,9 +3,9 @@
 //! budget — external sort runs, spilled hash partitions, and the bounded
 //! buffer pool may change *how* the work happens, never *what* comes
 //! out. Budgets sweep from "everything spills" to "nothing spills",
-//! crossed with thread counts and both sort-key representations, and the
-//! per-query I/O accounting must stay exact (per-operator deltas summing
-//! to the session totals) on the spilling paths too.
+//! crossed with thread counts, and the per-query I/O accounting must
+//! stay exact (per-operator deltas summing to the session totals) on the
+//! spilling paths too.
 
 use fto_bench::corpus::{emp_db, EMP_QUERIES};
 use fto_bench::Session;
@@ -27,6 +27,17 @@ fn unbounded_rows(db: &Database, sql: &str) -> Vec<Row> {
         .to_vec()
 }
 
+/// Joins whose build sides spill at 1 KiB: the hash join under grouped
+/// aggregation and the left-outer join with and without ON residuals.
+const SPILLING_JOINS: [&str; 3] = [
+    "select dept_name, count(*) as n, sum(salary) as total \
+     from dept, emp where dept_id = emp_dept group by dept_name order by dept_name",
+    "select dept_id, emp_id from dept left join emp on dept_id = emp_dept \
+     order by dept_id, emp_id",
+    "select dept_id, emp_id, salary from dept left join emp \
+     on dept_id = emp_dept and grade = 9 order by dept_id, emp_id",
+];
+
 #[test]
 fn corpus_is_bit_identical_under_memory_budgets() {
     let db = emp_db();
@@ -34,24 +45,19 @@ fn corpus_is_bit_identical_under_memory_budgets() {
         let baseline = unbounded_rows(&db, sql);
         for &budget in BUDGETS {
             for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_memory_budget(budget)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let out = Session::new(&db)
-                        .config(config)
-                        .execute(sql)
-                        .unwrap_or_else(|e| {
-                            panic!("{sql}\nbudget={budget} threads={threads} codec={codec}: {e}")
-                        });
-                    assert_eq!(
-                        out.rows(),
-                        baseline,
-                        "bounded execution diverged\nsql: {sql}\n\
-                         budget={budget} threads={threads} codec={codec}"
-                    );
-                }
+                let config = OptimizerConfig::default()
+                    .with_memory_budget(budget)
+                    .with_threads(threads);
+                let out = Session::new(&db)
+                    .config(config)
+                    .execute(sql)
+                    .unwrap_or_else(|e| panic!("{sql}\nbudget={budget} threads={threads}: {e}"));
+                assert_eq!(
+                    out.rows(),
+                    baseline,
+                    "bounded execution diverged\nsql: {sql}\n\
+                     budget={budget} threads={threads}"
+                );
             }
         }
     }
@@ -82,33 +88,27 @@ fn tiny_budget_spills_and_counts_it() {
     let db = emp_db();
     let sql = "select emp_id, salary from emp order by salary desc, emp_id";
     let baseline = unbounded_rows(&db, sql);
-    for codec in [true, false] {
-        let out = Session::new(&db)
-            .config(
-                OptimizerConfig::default()
-                    .with_memory_budget(1 << 10)
-                    .with_sort_key_codec(codec),
-            )
-            .execute(sql)
-            .unwrap();
-        assert_eq!(out.rows(), baseline, "codec={codec}");
-        assert!(
-            out.io.spill_pages_written > 0,
-            "codec={codec}: sort under 1 KiB must write spill pages"
-        );
-        assert!(
-            out.io.spill_pages_read > 0,
-            "codec={codec}: merge must read the spilled runs back"
-        );
-        assert!(out.spill.runs_formed > 0, "codec={codec}");
-        assert!(out.spill.merge_passes > 0, "codec={codec}");
-        // Heap scans go through the bounded buffer pool when a budget is
-        // set; every page charge is a recorded hit or miss.
-        assert!(
-            out.io.pool_hits + out.io.pool_misses > 0,
-            "codec={codec}: scans must route through the pool"
-        );
-    }
+    let out = Session::new(&db)
+        .config(OptimizerConfig::default().with_memory_budget(1 << 10))
+        .execute(sql)
+        .unwrap();
+    assert_eq!(out.rows(), baseline);
+    assert!(
+        out.io.spill_pages_written > 0,
+        "sort under 1 KiB must write spill pages"
+    );
+    assert!(
+        out.io.spill_pages_read > 0,
+        "merge must read the spilled runs back"
+    );
+    assert!(out.spill.runs_formed > 0);
+    assert!(out.spill.merge_passes > 0);
+    // Heap scans go through the bounded buffer pool when a budget is
+    // set; every page charge is a recorded hit or miss.
+    assert!(
+        out.io.pool_hits + out.io.pool_misses > 0,
+        "scans must route through the pool"
+    );
 }
 
 #[test]
@@ -138,13 +138,8 @@ fn left_join_build_side_spills_under_budget() {
     // bit-identical, with matches in build arrival order even when
     // resident and spilled rows interleave within one key.
     let db = emp_db();
-    let queries = [
-        "select dept_id, emp_id from dept left join emp on dept_id = emp_dept \
-         order by dept_id, emp_id",
-        "select dept_id, emp_id, salary from dept left join emp \
-         on dept_id = emp_dept and grade = 9 order by dept_id, emp_id",
-    ];
-    for sql in queries {
+    let queries = &SPILLING_JOINS[1..];
+    for &sql in queries {
         let baseline = unbounded_rows(&db, sql);
         for &budget in BUDGETS {
             let out = Session::new(&db)
@@ -175,60 +170,66 @@ fn left_join_build_side_spills_under_budget() {
 
 #[test]
 fn row_shim_charges_identical_io_under_budgets() {
-    // The vectorized joins and the row-shim baselines share one
-    // `JoinBuild` — same admission order, same batch-serialized spill
-    // groups, same single-entry decode cache — so even when the build
-    // side spills, rows AND every I/O counter (spill pages included)
-    // must match bit for bit between the two probe implementations.
+    // The spilling joins (one `JoinBuild` shared by the hash and
+    // left-outer probes: same admission order, same batch-serialized
+    // spill groups, same single-entry decode cache) must charge the
+    // same I/O, spill pages included, every time one plan runs: plain,
+    // again, and instrumented, with the per-operator deltas summing to
+    // that total. The row-at-a-time operator copies this test once
+    // compared against are gone; the plan's own reruns are the baseline.
     let db = emp_db();
-    let queries = [
-        "select dept_name, count(*) as n, sum(salary) as total \
-         from dept, emp where dept_id = emp_dept group by dept_name order by dept_name",
-        "select dept_id, emp_id from dept left join emp on dept_id = emp_dept \
-         order by dept_id, emp_id",
-        "select dept_id, emp_id, salary from dept left join emp \
-         on dept_id = emp_dept and grade = 9 order by dept_id, emp_id",
-    ];
-    for sql in queries {
-        for &budget in &[1 << 10, 4 << 10] {
+    for sql in SPILLING_JOINS {
+        let baseline = unbounded_rows(&db, sql);
+        for budget in [1 << 10, 4 << 10] {
             for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_memory_budget(budget)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let vectorized = Session::new(&db)
-                        .config(config.clone())
-                        .execute(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nvectorized, {config:?}: {e}"));
-                    let shim = Session::new(&db)
-                        .config(config.clone().with_row_shim(true))
-                        .execute(sql)
-                        .unwrap_or_else(|e| panic!("{sql}\nrow shim, {config:?}: {e}"));
-                    assert_eq!(
-                        vectorized.rows(),
-                        shim.rows(),
-                        "rows diverged\nsql: {sql}\nbudget={budget} \
-                         threads={threads} codec={codec}"
-                    );
-                    assert_eq!(
-                        vectorized.io, shim.io,
-                        "I/O diverged\nsql: {sql}\nbudget={budget} \
-                         threads={threads} codec={codec}"
-                    );
-                }
+                let config = OptimizerConfig::default()
+                    .with_memory_budget(budget)
+                    .with_threads(threads);
+                let q = Session::new(&db)
+                    .config(config.clone())
+                    .plan(sql)
+                    .unwrap_or_else(|e| panic!("{sql}\n{config:?}: {e}"));
+                let first = q
+                    .execute()
+                    .unwrap_or_else(|e| panic!("{sql}\n{config:?}: {e}"));
+                let again = q
+                    .execute()
+                    .unwrap_or_else(|e| panic!("{sql}\n{config:?}: {e}"));
+                let (instrumented, metrics) = q
+                    .execute_instrumented()
+                    .unwrap_or_else(|e| panic!("{sql}\n{config:?}: {e}"));
+                assert_eq!(
+                    first.rows(),
+                    baseline,
+                    "rows diverged\nsql: {sql}\n{config:?}"
+                );
+                assert_eq!(
+                    instrumented.rows(),
+                    baseline,
+                    "instrumented rows diverged\nsql: {sql}\n{config:?}"
+                );
+                assert_eq!(
+                    first.io, again.io,
+                    "I/O diverged on rerun\nsql: {sql}\n{config:?}"
+                );
+                assert_eq!(
+                    first.io, instrumented.io,
+                    "I/O diverged when instrumented\nsql: {sql}\n{config:?}"
+                );
+                assert!(
+                    metrics.validate().is_ok(),
+                    "{sql}\n{config:?}: {:?}",
+                    metrics.validate()
+                );
+                assert_eq!(metrics.total_io(), first.io, "{sql}\n{config:?}");
             }
         }
     }
-    // At 1 KiB the 400-row build side cannot stay resident: both probe
-    // implementations must actually be exercising the spilled groups.
+    // At 1 KiB the 400-row build side cannot stay resident: the probe
+    // must actually be reading spilled groups.
     let out = Session::new(&db)
-        .config(
-            OptimizerConfig::default()
-                .with_memory_budget(1 << 10)
-                .with_row_shim(true),
-        )
-        .execute(queries[1])
+        .config(OptimizerConfig::default().with_memory_budget(1 << 10))
+        .execute(SPILLING_JOINS[1])
         .unwrap();
     assert!(out.io.spill_pages_written > 0);
     assert!(out.io.spill_pages_read > 0);
@@ -332,24 +333,19 @@ fn tpcd_workload_is_bit_identical_under_memory_budgets() {
         let baseline = unbounded_rows(&db, sql);
         for &budget in BUDGETS {
             for threads in [1usize, 2, 4] {
-                for codec in [true, false] {
-                    let config = OptimizerConfig::default()
-                        .with_memory_budget(budget)
-                        .with_threads(threads)
-                        .with_sort_key_codec(codec);
-                    let out = Session::new(&db)
-                        .config(config)
-                        .execute(sql)
-                        .unwrap_or_else(|e| {
-                            panic!("{sql}\nbudget={budget} threads={threads} codec={codec}: {e}")
-                        });
-                    assert_eq!(
-                        out.rows(),
-                        baseline,
-                        "bounded TPC-D execution diverged\nsql: {sql}\n\
-                         budget={budget} threads={threads} codec={codec}"
-                    );
-                }
+                let config = OptimizerConfig::default()
+                    .with_memory_budget(budget)
+                    .with_threads(threads);
+                let out = Session::new(&db)
+                    .config(config)
+                    .execute(sql)
+                    .unwrap_or_else(|e| panic!("{sql}\nbudget={budget} threads={threads}: {e}"));
+                assert_eq!(
+                    out.rows(),
+                    baseline,
+                    "bounded TPC-D execution diverged\nsql: {sql}\n\
+                     budget={budget} threads={threads}"
+                );
             }
         }
     }
