@@ -7,7 +7,7 @@ use fto_exec::Session;
 use fto_planner::{OptimizerConfig, Plan, PlanNode};
 use fto_storage::Database;
 use fto_tpcd::{build_database, queries, TpcdConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Builds the TPC-D database the Q3 experiments run over.
 pub fn tpcd_db(scale: f64) -> Result<Database> {
@@ -139,9 +139,25 @@ pub fn calibration_report(
     Ok(out)
 }
 
+/// One point of the §5.2 enumeration-complexity experiment.
+#[derive(Debug, Clone, Copy)]
+pub struct EnumerationPoint {
+    /// Number of sort-ahead orders admitted.
+    pub orders: usize,
+    /// Subplans the planner generated.
+    pub plans_generated: u64,
+    /// Best-of-N wall time of `Session::plan` (parse through lowering).
+    pub compile: Duration,
+}
+
 /// The §5.2 enumeration-complexity experiment: planner work vs the number
-/// of sort-ahead orders admitted. Returns `(n, plans_generated)` pairs.
-pub fn enumeration_complexity(scale: f64, max_orders: usize) -> Result<Vec<(usize, u64)>> {
+/// of sort-ahead orders admitted, in subplans and in compile time (best
+/// of `runs` compilations of Q3 per point).
+pub fn enumeration_complexity(
+    scale: f64,
+    max_orders: usize,
+    runs: usize,
+) -> Result<Vec<EnumerationPoint>> {
     let db = tpcd_db(scale)?;
     let sql = queries::q3_default();
     let mut out = Vec::new();
@@ -149,8 +165,20 @@ pub fn enumeration_complexity(scale: f64, max_orders: usize) -> Result<Vec<(usiz
         let cfg = OptimizerConfig::default()
             .with_sort_ahead(n > 0)
             .with_max_sort_ahead(n);
-        let prepared = Session::new(&db).config(cfg).plan(&sql)?;
-        out.push((n, prepared.planner_stats().plans_generated));
+        let session = Session::new(&db).config(cfg);
+        let mut compile = Duration::MAX;
+        let mut plans_generated = 0;
+        for _ in 0..runs.max(1) {
+            let start = Instant::now();
+            let prepared = session.plan(&sql)?;
+            compile = compile.min(start.elapsed());
+            plans_generated = prepared.planner_stats().plans_generated;
+        }
+        out.push(EnumerationPoint {
+            orders: n,
+            plans_generated,
+            compile,
+        });
     }
     Ok(out)
 }
@@ -258,9 +286,10 @@ mod tests {
 
     #[test]
     fn enumeration_grows_with_orders() {
-        let points = enumeration_complexity(0.001, 2).unwrap();
+        let points = enumeration_complexity(0.001, 2, 1).unwrap();
         assert_eq!(points.len(), 3);
-        assert!(points[2].1 >= points[0].1);
+        assert!(points[2].plans_generated >= points[0].plans_generated);
+        assert!(points.iter().all(|p| p.compile > Duration::ZERO));
     }
 
     #[test]

@@ -9,13 +9,21 @@
 
 use crate::context::OrderContext;
 use crate::eqclass::EquivalenceClasses;
-use crate::fd::FdSet;
+use crate::fd::{Fd, FdSet};
 use crate::keyprop::KeyProperty;
 use crate::spec::OrderSpec;
 use fto_common::{ColId, ColSet};
 use fto_expr::{PredClass, PredId, Predicate};
+use std::sync::Arc;
 
 /// The data properties of one plan stream.
+///
+/// The equivalence classes and functional dependencies are private: the
+/// reasoning context derived from them ([`StreamProps::ctx`]) is built
+/// once, by the few methods that change those facts, and shared by
+/// handle with every stream derived from this one that keeps them
+/// (projections, sorts, DISTINCT, installed orders). No write from
+/// outside can leave the context stale.
 #[derive(Clone, Debug)]
 pub struct StreamProps {
     /// Columns available in the stream.
@@ -27,10 +35,28 @@ pub struct StreamProps {
     pub preds: Vec<PredId>,
     /// The key property (uniqueness facts, incl. the one-record condition).
     pub keys: KeyProperty,
-    /// The functional-dependency property.
-    pub fds: FdSet,
-    /// Column equivalences induced by the applied predicates.
-    pub eq: EquivalenceClasses,
+    /// The equivalences and FDs with the context derived from them,
+    /// shared by handle.
+    facts: Arc<Facts>,
+}
+
+/// The facts a stream's order reasoning draws on, and the context built
+/// from them once.
+#[derive(Debug)]
+struct Facts {
+    /// The functional-dependency property (raw, before head-space
+    /// normalization).
+    fds: FdSet,
+    /// The reasoning context: the stream's column equivalences (induced
+    /// by the applied predicates) and its FDs normalized to head space.
+    ctx: OrderContext,
+}
+
+impl Facts {
+    fn new(eq: EquivalenceClasses, fds: FdSet) -> Arc<Facts> {
+        let ctx = OrderContext::new(eq, &fds);
+        Arc::new(Facts { fds, ctx })
+    }
 }
 
 impl StreamProps {
@@ -48,14 +74,25 @@ impl StreamProps {
             order: OrderSpec::empty(),
             preds: Vec::new(),
             keys: KeyProperty::from_keys(keys),
-            fds,
-            eq: EquivalenceClasses::new(),
+            facts: Facts::new(EquivalenceClasses::new(), fds),
         }
     }
 
-    /// The reasoning context for this stream's order operations.
-    pub fn ctx(&self) -> OrderContext {
-        OrderContext::new(self.eq.clone(), &self.fds)
+    /// The reasoning context for this stream's order operations, shared
+    /// with every stream derived from this one that kept its
+    /// equivalences and FDs.
+    pub fn ctx(&self) -> &OrderContext {
+        &self.facts.ctx
+    }
+
+    /// The functional-dependency property (raw, as recorded).
+    pub fn fds(&self) -> &FdSet {
+        &self.facts.fds
+    }
+
+    /// Column equivalences induced by the applied predicates.
+    pub fn eq(&self) -> &EquivalenceClasses {
+        self.facts.ctx.equivalences()
     }
 
     /// Returns the stream with an order property installed (index scans
@@ -78,21 +115,37 @@ impl StreamProps {
         }
         match pred.classify() {
             PredClass::ColEqConst(col, v) => {
-                self.eq.bind_constant(col, v);
-                self.fds.add_constant(col);
+                let (mut eq, mut fds) = (self.eq().clone(), self.fds().clone());
+                eq.bind_constant(col, v);
+                fds.add_constant(col);
+                self.facts = Facts::new(eq, fds);
             }
             PredClass::ColEqCol(a, b) => {
-                self.eq.merge(a, b);
-                self.fds.add_equivalence(a, b);
+                let (mut eq, mut fds) = (self.eq().clone(), self.fds().clone());
+                eq.merge(a, b);
+                fds.add_equivalence(a, b);
+                self.facts = Facts::new(eq, fds);
             }
             PredClass::Opaque => {}
         }
-        let ctx = self.ctx();
-        self.keys.canonicalize(&ctx);
+        self.keys.canonicalize(&self.facts.ctx);
         // The physical order of rows is unchanged by filtering; keep the
         // order property but re-reduce it, since new constants may have
         // shortened it.
-        self.order = ctx.reduce(&self.order);
+        self.order = self.ctx().reduce(&self.order);
+    }
+
+    /// Records the FDs `e.cols() → {c}` of computed output columns (and
+    /// any other dependency the caller knows holds), rebuilding the shared
+    /// context once for the whole batch.
+    pub fn add_fds(&mut self, new: impl IntoIterator<Item = Fd>) {
+        let mut fds = self.fds().clone();
+        for fd in new {
+            fds.add(fd);
+        }
+        if fds.len() != self.fds().len() {
+            self.facts = Facts::new(self.eq().clone(), fds);
+        }
     }
 
     /// Properties after projecting the stream down to `keep`.
@@ -105,18 +158,16 @@ impl StreamProps {
     ///   §5.2.1).
     /// * FDs and equivalences are retained in full: they remain true
     ///   statements about the visible columns and may mention invisible
-    ///   ones harmlessly.
+    ///   ones harmlessly. The context is shared, not rebuilt.
     pub fn project(&self, keep: &ColSet) -> StreamProps {
-        let ctx = self.ctx();
         let cols = self.cols.intersection(keep);
-        let (order, _complete) = ctx.homogenize_prefix(&self.order, &cols);
+        let (order, _complete) = self.ctx().homogenize_prefix(&self.order, &cols);
         StreamProps {
             cols,
             order,
             preds: self.preds.clone(),
             keys: self.keys.project(keep),
-            fds: self.fds.clone(),
-            eq: self.eq.clone(),
+            facts: Arc::clone(&self.facts),
         }
     }
 
@@ -152,27 +203,40 @@ impl StreamProps {
         equates: &[(ColId, ColId)],
         outer_order: OrderSpec,
     ) -> StreamProps {
-        let mut preds = left.preds.clone();
-        for p in &right.preds {
-            if let Err(pos) = preds.binary_search(p) {
-                preds.insert(pos, *p);
-            }
-        }
-        let mut fds = left.fds.clone();
-        fds.absorb(&right.fds);
-        let mut eq = left.eq.clone();
-        eq.absorb(&right.eq);
-        let keys = KeyProperty::join(&left.keys, &right.keys, equates);
-        let mut out = StreamProps {
+        let mut fds = left.fds().clone();
+        fds.absorb(right.fds());
+        let mut eq = left.eq().clone();
+        eq.absorb(right.eq());
+        let facts = Facts::new(eq, fds);
+        StreamProps {
             cols: left.cols.union(&right.cols),
-            order: OrderSpec::empty(),
-            preds,
-            keys,
-            fds,
-            eq,
-        };
-        out.order = out.ctx().reduce(&outer_order);
-        out
+            order: facts.ctx.reduce(&outer_order),
+            preds: union_preds(&left.preds, &right.preds),
+            keys: KeyProperty::join(&left.keys, &right.keys, equates),
+            facts,
+        }
+    }
+
+    /// Combines the properties of a left outer join's inputs, *before*
+    /// its ON predicates are applied. Null padding invalidates every fact
+    /// local to the inner side (its constants, equivalences and FDs no
+    /// longer hold once unmatched rows carry NULLs), so the output keeps
+    /// only the preserved side's facts — and its context, by handle —
+    /// plus the joined key property; the preserved side's order survives.
+    /// The caller then applies each ON predicate through
+    /// [`StreamProps::apply_outer_join_predicate`].
+    pub fn outer_join(
+        preserved: &StreamProps,
+        inner: &StreamProps,
+        equates: &[(ColId, ColId)],
+    ) -> StreamProps {
+        StreamProps {
+            cols: preserved.cols.union(&inner.cols),
+            order: preserved.ctx().reduce(&preserved.order),
+            preds: union_preds(&preserved.preds, &inner.preds),
+            keys: KeyProperty::join(&preserved.keys, &inner.keys, equates),
+            facts: Arc::clone(&preserved.facts),
+        }
     }
 
     /// Records an outer-join ON predicate (paper §4.1): the predicate id
@@ -187,14 +251,13 @@ impl StreamProps {
         }
         if let PredClass::ColEqCol(a, b) = pred.classify() {
             if preserved.contains(a) {
-                self.fds.add(crate::fd::Fd::implies(a, b));
+                self.add_fds([Fd::implies(a, b)]);
             } else if preserved.contains(b) {
-                self.fds.add(crate::fd::Fd::implies(b, a));
+                self.add_fds([Fd::implies(b, a)]);
             }
         }
-        let ctx = self.ctx();
-        self.keys.canonicalize(&ctx);
-        self.order = ctx.reduce(&self.order);
+        self.keys.canonicalize(&self.facts.ctx);
+        self.order = self.ctx().reduce(&self.order);
     }
 
     /// Properties after a GROUP BY on `grouping` producing aggregate
@@ -212,32 +275,31 @@ impl StreamProps {
         input_order: OrderSpec,
     ) -> StreamProps {
         let cols = grouping.union(agg_cols);
-        let mut fds = self.fds.clone();
-        if !agg_cols.is_empty() {
+        let facts = if agg_cols.is_empty() {
+            Arc::clone(&self.facts)
+        } else {
+            let mut fds = self.fds().clone();
             fds.add_key(grouping.clone(), cols.clone());
-        }
+            Facts::new(self.eq().clone(), fds)
+        };
         let mut keys = self.keys.clone().project(&cols);
         keys.add_key(grouping.clone());
-        let mut out = StreamProps {
+        keys.canonicalize(&facts.ctx);
+        let (order, _) = facts.ctx.homogenize_prefix(&input_order, &cols);
+        StreamProps {
             cols,
-            order: OrderSpec::empty(),
+            order,
             preds: self.preds.clone(),
             keys,
-            fds,
-            eq: self.eq.clone(),
-        };
-        let ctx = out.ctx();
-        out.keys.canonicalize(&ctx);
-        let (order, _) = ctx.homogenize_prefix(&input_order, &out.cols);
-        out.order = order;
-        out
+            facts,
+        }
     }
 
     /// Properties after DISTINCT: every output column together forms a key.
     pub fn distinct(&self) -> StreamProps {
         let mut out = self.clone();
         out.keys.add_key(self.cols.clone());
-        out.keys.canonicalize(&out.ctx());
+        out.keys.canonicalize(&out.facts.ctx);
         out
     }
 
@@ -250,7 +312,7 @@ impl StreamProps {
     ///
     /// Two plans with mutually incomparable properties must both be kept.
     pub fn dominates(&self, other: &StreamProps) -> bool {
-        self.dominates_under(other, &self.ctx())
+        self.dominates_under(other, self.ctx())
     }
 
     /// [`StreamProps::dominates`] with an explicit reasoning context —
@@ -273,6 +335,17 @@ impl StreamProps {
             .iter()
             .all(|ok| self.keys.keys().iter().any(|sk| sk.is_subset(ok)))
     }
+}
+
+/// The union of two sorted predicate-id lists, sorted.
+fn union_preds(left: &[PredId], right: &[PredId]) -> Vec<PredId> {
+    let mut preds = left.to_vec();
+    for p in right {
+        if let Err(pos) = preds.binary_search(p) {
+            preds.insert(pos, *p);
+        }
+    }
+    preds
 }
 
 #[cfg(test)]
@@ -301,7 +374,7 @@ mod tests {
     #[test]
     fn base_table_key_fd() {
         let p = base();
-        assert!(p.fds.determines(&cs(&[0]), c(3)));
+        assert!(p.fds().determines(&cs(&[0]), c(3)));
         assert!(p.keys.determined_by(&cs(&[0])));
         assert!(p.order.is_empty());
         assert!(p.preds.is_empty());
@@ -320,7 +393,7 @@ mod tests {
         p.apply_predicate(PredId(0), &Predicate::col_eq_const(c(1), Value::Int(5)));
         assert_eq!(p.order, asc(&[2]));
         assert_eq!(p.preds, vec![PredId(0)]);
-        assert!(p.eq.is_constant(c(1)));
+        assert!(p.eq().is_constant(c(1)));
     }
 
     #[test]
@@ -330,7 +403,7 @@ mod tests {
         p.apply_predicate(PredId(3), &pred);
         p.apply_predicate(PredId(3), &pred);
         assert_eq!(p.preds, vec![PredId(3)]);
-        assert!(p.eq.same_class(c(1), c(2)));
+        assert!(p.eq().same_class(c(1), c(2)));
     }
 
     #[test]
@@ -389,9 +462,9 @@ mod tests {
         // Order on the outer is preserved.
         assert_eq!(joined.order, asc(&[1]));
         // Equivalence 1 = 10 holds downstream.
-        assert!(joined.eq.same_class(c(1), c(10)));
+        assert!(joined.eq().same_class(c(1), c(10)));
         // Key FD from the right side flows through: {10} -> {11}.
-        assert!(joined.fds.determines(&cs(&[10]), c(11)));
+        assert!(joined.fds().determines(&cs(&[10]), c(11)));
         // And via equivalence, {1} -> {11}.
         assert!(joined.ctx().fds().determines(&cs(&[1]), c(11)));
     }
@@ -402,7 +475,7 @@ mod tests {
         let out = p.group_by(&cs(&[1, 2]), &cs(&[7]), asc(&[1, 2]));
         assert_eq!(out.cols, cs(&[1, 2, 7]));
         assert!(out.keys.determined_by(&cs(&[1, 2])));
-        assert!(out.fds.determines(&cs(&[1, 2]), c(7)));
+        assert!(out.fds().determines(&cs(&[1, 2]), c(7)));
         assert_eq!(out.order, asc(&[1, 2]));
     }
 
@@ -442,6 +515,36 @@ mod tests {
         let mut binds_order_col = base();
         binds_order_col.apply_predicate(PredId(1), &Predicate::eq(Expr::col(c(1)), Expr::int(5)));
         assert!(binds_order_col.dominates(&ordered));
+    }
+
+    #[test]
+    fn derived_streams_share_the_context_until_facts_change() {
+        let p = base().with_order(asc(&[1]));
+        let shares = |q: &StreamProps| std::ptr::eq(p.ctx(), q.ctx());
+        assert!(shares(&p.project(&cs(&[1, 2]))));
+        assert!(shares(&p.sorted(&asc(&[2]))));
+        assert!(shares(&p.distinct()));
+        assert!(shares(&p.group_by(&cs(&[1]), &ColSet::new(), asc(&[1]))));
+        // A predicate that adds no equivalence or FD keeps the handle...
+        let mut range = p.clone();
+        range.apply_predicate(
+            PredId(1),
+            &Predicate::new(fto_expr::CompareOp::Lt, Expr::col(c(2)), Expr::int(3)),
+        );
+        assert!(shares(&range));
+        // ...and one that does builds a context that knows it.
+        let mut bound = p.clone();
+        bound.apply_predicate(PredId(2), &Predicate::col_eq_const(c(1), Value::Int(5)));
+        assert!(!shares(&bound));
+        assert!(bound.ctx().fds().determines(&ColSet::new(), c(1)));
+        assert!(!p.ctx().fds().determines(&ColSet::new(), c(1)));
+        let mut computed = p.clone();
+        computed.add_fds([Fd::new(cs(&[2]), cs(&[9]))]);
+        assert!(computed.ctx().fds().determines(&cs(&[2]), c(9)));
+        // Re-adding a known FD changes nothing and keeps the handle.
+        let before = computed.clone();
+        computed.add_fds([Fd::new(cs(&[2]), cs(&[9]))]);
+        assert!(std::ptr::eq(before.ctx(), computed.ctx()));
     }
 
     #[test]

@@ -3009,7 +3009,10 @@ mod tests {
                 quantifier: QuantifierId(0),
             },
             layout: RowLayout::new(vec![ColId(0), ColId(1)]),
-            props: StreamProps::base_table(ColSet::from_cols([ColId(0), ColId(1)]), vec![]),
+            props: Arc::new(StreamProps::base_table(
+                ColSet::from_cols([ColId(0), ColId(1)]),
+                vec![],
+            )),
             cost: Cost {
                 total: 0.0,
                 rows: 0.0,

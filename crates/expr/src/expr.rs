@@ -127,7 +127,9 @@ impl Expr {
     ///
     /// Arithmetic on NULL yields NULL; integer arithmetic stays integral,
     /// any float operand widens the result. Division by zero yields NULL
-    /// (the engine's deliberate, non-erroring choice for workload data).
+    /// (the engine's deliberate, non-erroring choice for workload data);
+    /// an integer result outside the `i64` range is an error, never a
+    /// wrapped value.
     pub fn eval(&self, row: &[Value], layout: &RowLayout) -> Result<Value> {
         match self {
             Expr::Col(c) => {
@@ -151,18 +153,18 @@ fn eval_arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value> {
         return Ok(Value::Null);
     }
     match (l, r) {
-        (Value::Int(a), Value::Int(b)) => Ok(match op {
-            ArithOp::Add => Value::Int(a.wrapping_add(*b)),
-            ArithOp::Sub => Value::Int(a.wrapping_sub(*b)),
-            ArithOp::Mul => Value::Int(a.wrapping_mul(*b)),
-            ArithOp::Div => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a.wrapping_div(*b))
-                }
-            }
-        }),
+        (Value::Int(a), Value::Int(b)) => {
+            let checked = match op {
+                ArithOp::Add => a.checked_add(*b),
+                ArithOp::Sub => a.checked_sub(*b),
+                ArithOp::Mul => a.checked_mul(*b),
+                ArithOp::Div if *b == 0 => return Ok(Value::Null),
+                ArithOp::Div => a.checked_div(*b),
+            };
+            checked.map(Value::Int).ok_or_else(|| {
+                FtoError::Exec(format!("integer overflow in {a} {} {b}", op.symbol()))
+            })
+        }
         _ => {
             let (a, b) = match (l.as_double(), r.as_double()) {
                 (Some(a), Some(b)) => (a, b),
@@ -219,6 +221,32 @@ mod tests {
         let l = layout();
         assert_eq!(Expr::col(c(0)).eval(&row, &l).unwrap(), Value::Int(10));
         assert_eq!(Expr::int(7).eval(&row, &l).unwrap(), Value::Int(7));
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error() {
+        let l = layout();
+        let row = [Value::Int(i64::MAX), Value::Int(i64::MIN), Value::Int(-1)];
+        for (op, a, b) in [
+            (ArithOp::Add, c(0), c(2)),
+            (ArithOp::Sub, c(0), c(2)),
+            (ArithOp::Mul, c(1), c(2)),
+            (ArithOp::Div, c(1), c(2)),
+        ] {
+            let e = Expr::arith(op, Expr::col(a), Expr::col(b));
+            if op == ArithOp::Add {
+                // i64::MAX + -1 fits.
+                assert_eq!(e.eval(&row, &l).unwrap(), Value::Int(i64::MAX - 1));
+                continue;
+            }
+            let err = e.eval(&row, &l).unwrap_err();
+            assert!(
+                matches!(&err, FtoError::Exec(m) if m.contains("overflow")),
+                "{e}: {err}"
+            );
+        }
+        let e = Expr::arith(ArithOp::Add, Expr::col(c(0)), Expr::int(1));
+        assert!(e.eval(&row, &l).is_err());
     }
 
     #[test]

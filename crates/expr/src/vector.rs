@@ -10,10 +10,11 @@
 //! Every kernel decides exactly as the row evaluator does: comparisons go
 //! through the same total order ([`cmp_f64_nan_high`], [`cmp_int_double`],
 //! byte-wise string compare), NULL comparisons are false, and arithmetic
-//! is only vectorized over numeric columns — where it cannot error — so
-//! anything that *could* diverge from row-at-a-time semantics (mixed-type
-//! columns, string arithmetic) falls back to materializing rows and
-//! running the row evaluator. The differential suites hold the two paths
+//! is only vectorized over numeric columns — a batch whose integer
+//! arithmetic overflows is handed back — so anything that *could* diverge
+//! from row-at-a-time semantics (mixed-type columns, string arithmetic,
+//! overflow errors) falls back to materializing rows and running the row
+//! evaluator. The differential suites hold the two paths
 //! bit-identical.
 
 use crate::expr::{ArithOp, Expr};
@@ -118,13 +119,14 @@ pub fn project_batch(exprs: &[Expr], batch: &Batch, layout: &RowLayout) -> Resul
 /// * a literal — materialized constant column;
 /// * arithmetic whose operands vectorize to numeric (`Int64`/`Float64`)
 ///   columns — typed loops reproducing [`Expr::eval`]'s semantics
-///   (wrapping integer ops, division by zero → NULL, any float operand
-///   widens, NULL propagates); numeric arithmetic cannot error, so
-///   evaluating unselected rows is unobservable.
+///   (division by zero → NULL, any float operand widens, NULL
+///   propagates); a loop that completes cannot have erred, so evaluating
+///   unselected rows is unobservable.
 ///
 /// Returns `Ok(None)` when the expression must run row-at-a-time
-/// (arithmetic over strings, dates, booleans, or mixed-type columns —
-/// where the row evaluator may error).
+/// (arithmetic over strings, dates, booleans, or mixed-type columns, and
+/// integer arithmetic that overflowed somewhere in the batch — where the
+/// row evaluator may error).
 pub fn try_eval_column(
     expr: &Expr,
     batch: &Batch,
@@ -183,7 +185,8 @@ fn numeric_as_f64(col: &Column) -> Option<Vec<f64>> {
 }
 
 /// Typed arithmetic over two equal-length columns; `None` when either
-/// operand is non-numeric (row fallback required).
+/// operand is non-numeric or an integer result overflows (row fallback
+/// required).
 fn arith_columns(op: ArithOp, l: &Column, r: &Column) -> Option<Column> {
     let n = l.len();
     debug_assert_eq!(n, r.len());
@@ -198,6 +201,7 @@ fn arith_columns(op: ArithOp, l: &Column, r: &Column) -> Option<Column> {
         let mut out = Vec::with_capacity(n);
         let mut bm = Bitmap::new(n, true);
         let mut any_null = false;
+        let mut overflow = false;
         for i in 0..n {
             if !l.is_valid(i) || !r.is_valid(i) || (op == ArithOp::Div && b[i] == 0) {
                 bm.set(i, false);
@@ -205,12 +209,22 @@ fn arith_columns(op: ArithOp, l: &Column, r: &Column) -> Option<Column> {
                 out.push(0);
                 continue;
             }
-            out.push(match op {
-                ArithOp::Add => a[i].wrapping_add(b[i]),
-                ArithOp::Sub => a[i].wrapping_sub(b[i]),
-                ArithOp::Mul => a[i].wrapping_mul(b[i]),
-                ArithOp::Div => a[i].wrapping_div(b[i]),
-            });
+            let (v, o) = match op {
+                ArithOp::Add => a[i].overflowing_add(b[i]),
+                ArithOp::Sub => a[i].overflowing_sub(b[i]),
+                ArithOp::Mul => a[i].overflowing_mul(b[i]),
+                ArithOp::Div => a[i].overflowing_div(b[i]),
+            };
+            overflow |= o;
+            out.push(v);
+        }
+        // Checked once per batch. The batch may hold rows a filter has
+        // already rejected, so the overflow is not reported here: the
+        // row evaluator re-runs the expression over exactly the rows the
+        // row engine would evaluate, and raises the error if one of them
+        // overflows.
+        if overflow {
+            return None;
         }
         return Some(Column {
             data: ColumnData::Int64(out),
@@ -442,7 +456,6 @@ mod tests {
             vec![Value::Int(4), Value::Int(0)],
             vec![Value::Int(-3), Value::Int(2)],
             vec![Value::Null, Value::Int(5)],
-            vec![Value::Int(i64::MAX), Value::Int(1)],
         ]);
         let batch = Batch::from_rows(&rs);
         let layout = RowLayout::new(vec![c(0), c(1)]);
@@ -450,6 +463,60 @@ mod tests {
             let e = Expr::arith(op, Expr::col(c(0)), Expr::col(c(1)));
             let p = Predicate::new(CompareOp::Gt, e, Expr::int(0));
             assert_matches_rows(&p, &batch, &layout);
+        }
+    }
+
+    #[test]
+    fn overflow_errors_only_on_evaluated_rows() {
+        let rs = rows(vec![
+            vec![Value::Int(i64::MAX), Value::Int(2)],
+            vec![Value::Int(5), Value::Int(2)],
+            vec![Value::Int(i64::MIN), Value::Int(-1)],
+        ]);
+        let batch = Batch::from_rows(&rs);
+        let layout = RowLayout::new(vec![c(0), c(1)]);
+        let times = Expr::arith(ArithOp::Mul, Expr::col(c(0)), Expr::col(c(1)));
+        let p = Predicate::new(CompareOp::Gt, times.clone(), Expr::int(0));
+        // A prior predicate deselected the overflowing rows: no error.
+        let mut sel = vec![1u32];
+        filter_selection(&p, &batch, &layout, &mut sel).unwrap();
+        assert_eq!(sel, vec![1]);
+        // Selected, they overflow: a typed error, never a wrapped value.
+        let mut sel = sel_for(&batch);
+        let err = filter_selection(&p, &batch, &layout, &mut sel).unwrap_err();
+        assert!(
+            matches!(&err, FtoError::Exec(m) if m.contains("overflow")),
+            "{err}"
+        );
+        let err = project_batch(&[times], &batch, &layout).unwrap_err();
+        assert!(
+            matches!(&err, FtoError::Exec(m) if m.contains("overflow")),
+            "{err}"
+        );
+        // i64::MIN / -1 is the one overflowing division.
+        let quotient = Expr::arith(ArithOp::Div, Expr::col(c(0)), Expr::col(c(1)));
+        let err = project_batch(&[quotient], &batch, &layout).unwrap_err();
+        assert!(
+            matches!(&err, FtoError::Exec(m) if m.contains("overflow")),
+            "{err}"
+        );
+        // Every operator: the vectorized filter and the row evaluator agree,
+        // failing alike where a row overflows. Only Sub stays in range on
+        // every row of this batch.
+        for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div] {
+            let e = Expr::arith(op, Expr::col(c(0)), Expr::col(c(1)));
+            let p = Predicate::new(CompareOp::Gt, e, Expr::int(0));
+            let mut sel = sel_for(&batch);
+            let vectorized = filter_selection(&p, &batch, &layout, &mut sel).map(|()| sel);
+            let by_rows: Result<Vec<u32>> = (0..batch.len())
+                .filter_map(|i| match p.eval(&batch.row(i), &layout) {
+                    Ok(true) => Some(Ok(i as u32)),
+                    Ok(false) => None,
+                    Err(e) => Some(Err(e)),
+                })
+                .collect();
+            assert_eq!(vectorized, by_rows, "{p}");
+            assert_eq!(vectorized.is_err(), op != ArithOp::Sub, "{p}");
         }
     }
 

@@ -18,6 +18,7 @@ use fto_obs::trace::emit;
 use fto_obs::TraceEvent;
 use fto_order::{OrderSpec, SortKey, StreamProps};
 use fto_qgm::graph::Quantifier;
+use std::sync::Arc;
 
 /// Generates the access paths for a base-table quantifier, with
 /// `local_preds` (the box predicates referencing only this quantifier)
@@ -59,7 +60,7 @@ pub fn access_paths(
             quantifier: q.id,
         },
         layout: layout.clone(),
-        props: base_props.clone(),
+        props: Arc::new(base_props.clone()),
         cost: Cost::rows(rows).plus(cost::table_scan(pages, rows)),
     };
     paths.push(planner.apply_filter(scan, local_preds));
@@ -96,7 +97,7 @@ pub fn access_paths(
                 reverse: false,
             },
             layout: layout.clone(),
-            props: base_props.clone().with_order(order.clone()),
+            props: Arc::new(base_props.clone().with_order(order.clone())),
             cost: Cost::rows(fetch_rows).plus(scan_cost),
         };
         paths.push(planner.apply_filter(plan, local_preds));
@@ -113,7 +114,7 @@ pub fn access_paths(
                 reverse: true,
             },
             layout: layout.clone(),
-            props: base_props.clone().with_order(order.reversed()),
+            props: Arc::new(base_props.clone().with_order(order.reversed())),
             cost: Cost::rows(fetch_rows).plus(scan_cost),
         };
         paths.push(planner.apply_filter(reverse_plan, local_preds));
@@ -294,7 +295,7 @@ mod tests {
         let paths = access_paths(&mut planner, &q, &[p]);
         for path in &paths {
             assert_eq!(path.props.preds, vec![p]);
-            assert!(path.props.eq.is_constant(cols[1]));
+            assert!(path.props.eq().is_constant(cols[1]));
         }
     }
 }

@@ -419,7 +419,7 @@ fn index_nlj(
                 predicates: all_preds,
             },
             layout: layout.clone(),
-            props,
+            props: Arc::new(props),
             cost: Cost { total, rows },
         });
         planner.stats.plans_generated += 1;
@@ -440,7 +440,7 @@ fn join_props(
     equates: &[(ColId, ColId)],
     applicable: &[PredId],
     preserve_outer_order: bool,
-) -> StreamProps {
+) -> Arc<StreamProps> {
     let order = if preserve_outer_order {
         outer.props.order.clone()
     } else {
@@ -450,7 +450,7 @@ fn join_props(
     for &pid in applicable {
         props.apply_predicate(pid, planner.graph.predicate(pid));
     }
-    props
+    Arc::new(props)
 }
 
 /// If `plan` is a (possibly filtered) bare scan of a base table, returns

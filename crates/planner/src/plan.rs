@@ -221,8 +221,10 @@ pub struct Plan {
     pub node: PlanNode,
     /// Column layout of produced rows.
     pub layout: RowLayout,
-    /// Data properties of the stream (order, predicates, keys, FDs).
-    pub props: StreamProps,
+    /// Data properties of the stream (order, predicates, keys, FDs),
+    /// shared by handle: a limit, a Top-N or a copy of the plan clones
+    /// the `Arc`, not the column sets and dependency lists.
+    pub props: Arc<StreamProps>,
     /// Estimated cost and cardinality.
     pub cost: Cost,
 }
@@ -552,7 +554,10 @@ mod tests {
                 quantifier: QuantifierId(0),
             },
             layout: RowLayout::new(vec![ColId(0), ColId(1)]),
-            props: StreamProps::base_table(ColSet::from_cols([ColId(0), ColId(1)]), vec![]),
+            props: Arc::new(StreamProps::base_table(
+                ColSet::from_cols([ColId(0), ColId(1)]),
+                vec![],
+            )),
             cost: Cost {
                 total: 10.0,
                 rows: 100.0,

@@ -14,7 +14,7 @@ use fto_obs::TraceEvent;
 use fto_order::{FlexOrder, OrderContext, OrderSpec, StreamProps};
 use fto_qgm::graph::{BoxId, BoxKind, OutputExpr, QgmBox, QuantifierInput};
 use fto_qgm::QueryGraph;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Estimated bytes per row for sort costing when the exact layout width
 /// is unknown; declared widths refine this at access time.
@@ -310,7 +310,7 @@ impl<'a> Planner<'a> {
             // Order-based: stream directly when the child's order already
             // groups rows; otherwise sort first.
             let ctx = self.effective_ctx(&child.props);
-            let streaming_child = if flex.satisfied_by(&child.props.order, &ctx) {
+            let streaming_child = if flex.satisfied_by(&child.props.order, ctx) {
                 self.stats.sorts_avoided += 1;
                 emit(|| TraceEvent::SortAvoided {
                     requirement: "group-by".to_string(),
@@ -318,14 +318,14 @@ impl<'a> Planner<'a> {
                 });
                 child.clone()
             } else {
-                let spec = flex.concretize(&child.props.order, &ctx);
+                let spec = flex.concretize(&child.props.order, ctx);
                 self.add_sort(child.clone(), &spec)
             };
-            let props = streaming_child.props.group_by(
+            let props = Arc::new(streaming_child.props.group_by(
                 &grouping_set,
                 &agg_cols,
                 streaming_child.props.order.clone(),
-            );
+            ));
             plans.push(Plan {
                 node: PlanNode::StreamGroupBy {
                     input: Arc::new(streaming_child.clone()),
@@ -343,9 +343,11 @@ impl<'a> Planner<'a> {
             // Hash-based alternative (paper §5.1: recording an input order
             // requirement "does not preclude hash-based GROUP BY").
             if self.config.enable_hash_grouping {
-                let props = child
-                    .props
-                    .group_by(&grouping_set, &agg_cols, OrderSpec::empty());
+                let props = Arc::new(child.props.group_by(
+                    &grouping_set,
+                    &agg_cols,
+                    OrderSpec::empty(),
+                ));
                 plans.push(Plan {
                     node: PlanNode::HashGroupBy {
                         input: Arc::new(child.clone()),
@@ -397,7 +399,10 @@ impl<'a> Planner<'a> {
             branch_plans.push(Arc::new(best));
         }
         let out_cols: Vec<fto_common::ColId> = qbox.output_cols();
-        let props = StreamProps::base_table(out_cols.iter().copied().collect(), vec![]);
+        let props = Arc::new(StreamProps::base_table(
+            out_cols.iter().copied().collect(),
+            vec![],
+        ));
         let plan = Plan {
             node: PlanNode::UnionAll {
                 inputs: branch_plans,
@@ -464,30 +469,7 @@ impl<'a> Planner<'a> {
         for left in &lefts {
             for right in &rights {
                 self.stats.joins_considered += 1;
-                // Null padding invalidates every fact local to the inner
-                // side (its constants, equivalences, and FDs no longer
-                // hold once unmatched rows carry NULLs), so the output
-                // keeps only the preserved side's facts plus the key
-                // property and the one-directional ON FDs.
-                let mut preds = left.props.preds.clone();
-                for p in &right.props.preds {
-                    if let Err(pos) = preds.binary_search(p) {
-                        preds.insert(pos, *p);
-                    }
-                }
-                let mut props = StreamProps {
-                    cols: left.props.cols.union(&right.props.cols),
-                    order: fto_order::OrderSpec::empty(),
-                    preds,
-                    keys: fto_order::KeyProperty::join(
-                        &left.props.keys,
-                        &right.props.keys,
-                        &equates,
-                    ),
-                    fds: left.props.fds.clone(),
-                    eq: left.props.eq.clone(),
-                };
-                props.order = props.ctx().reduce(&left.props.order);
+                let mut props = StreamProps::outer_join(&left.props, &right.props, &equates);
                 for &pid in on {
                     props.apply_outer_join_predicate(pid, self.graph.predicate(pid), &preserved);
                 }
@@ -511,7 +493,7 @@ impl<'a> Planner<'a> {
                         predicates: on.to_vec(),
                     },
                     layout: left.layout.concat(&right.layout),
-                    props,
+                    props: Arc::new(props),
                     cost: Cost { total, rows },
                 });
             }
@@ -544,7 +526,7 @@ impl<'a> Planner<'a> {
             let ctx = self.effective_ctx(&plan.props);
 
             // Order-based distinct.
-            let ordered = if flex.satisfied_by(&plan.props.order, &ctx) {
+            let ordered = if flex.satisfied_by(&plan.props.order, ctx) {
                 self.stats.sorts_avoided += 1;
                 emit(|| TraceEvent::SortAvoided {
                     requirement: "distinct".to_string(),
@@ -552,10 +534,10 @@ impl<'a> Planner<'a> {
                 });
                 plan.clone()
             } else {
-                let spec = flex.concretize(&plan.props.order, &ctx);
+                let spec = flex.concretize(&plan.props.order, ctx);
                 self.add_sort(plan.clone(), &spec)
             };
-            let props = ordered.props.distinct();
+            let props = Arc::new(ordered.props.distinct());
             out.push(Plan {
                 node: PlanNode::StreamDistinct {
                     input: Arc::new(ordered.clone()),
@@ -570,7 +552,7 @@ impl<'a> Planner<'a> {
 
             // Hash-based distinct.
             if self.config.enable_hash_grouping {
-                let props = plan.props.distinct();
+                let props = Arc::new(plan.props.distinct());
                 out.push(Plan {
                     node: PlanNode::HashDistinct {
                         input: Arc::new(plan.clone()),
@@ -599,12 +581,8 @@ impl<'a> Planner<'a> {
     /// The reasoning context the configuration allows: the stream's full
     /// context when order optimization is on, the trivial context when it
     /// is disabled (orders compare verbatim).
-    pub fn effective_ctx(&self, props: &StreamProps) -> OrderContext {
-        if self.config.order_optimization {
-            props.ctx()
-        } else {
-            OrderContext::trivial()
-        }
+    pub fn effective_ctx<'p>(&self, props: &'p StreamProps) -> &'p OrderContext {
+        reasoning_ctx(&self.config, props)
     }
 
     /// Does `plan` already provide `interest`?
@@ -645,7 +623,7 @@ impl<'a> Planner<'a> {
         });
         let rows = plan.cost.rows;
         let width = (plan.layout.arity() * 8 + 16).max(DEFAULT_ROW_WIDTH / 2);
-        let props = plan.props.sorted(&minimal);
+        let props = Arc::new(plan.props.sorted(&minimal));
         let layout = plan.layout.clone();
 
         // Segmented (partial) sort: when the input's order property
@@ -727,7 +705,7 @@ impl<'a> Planner<'a> {
         if preds.is_empty() {
             return plan;
         }
-        let mut props = plan.props.clone();
+        let mut props = StreamProps::clone(&plan.props);
         let mut sel = 1.0;
         for &pid in preds {
             let pred = self.graph.predicate(pid);
@@ -745,7 +723,7 @@ impl<'a> Planner<'a> {
                 input: Arc::new(plan),
                 predicates: preds.to_vec(),
             },
-            props,
+            props: Arc::new(props),
             cost,
         }
     }
@@ -774,14 +752,14 @@ impl<'a> Planner<'a> {
             .filter_map(|(c, e)| (e.as_col() == Some(*c)).then_some(*c))
             .collect();
         let mut props = plan.props.project(&keep);
+        let mut fds = Vec::new();
         for (c, e) in &exprs {
             if e.as_col() != Some(*c) {
                 props.cols.insert(*c);
-                props
-                    .fds
-                    .add(fto_order::Fd::new(e.cols(), ColSet::singleton(*c)));
+                fds.push(fto_order::Fd::new(e.cols(), ColSet::singleton(*c)));
             }
         }
+        props.add_fds(fds);
         let rows = plan.cost.rows;
         let cost = plan.cost.plus(rows * cost::CPU_ROW * 0.5);
         Plan {
@@ -790,7 +768,7 @@ impl<'a> Planner<'a> {
                 exprs,
             },
             layout: RowLayout::new(out_cols),
-            props,
+            props: Arc::new(props),
             cost,
         }
     }
@@ -859,12 +837,20 @@ fn plan_dominates_under(config: &OptimizerConfig, a: &Plan, b: &Plan) -> bool {
     if a.cost.total > b.cost.total {
         return false;
     }
-    let ctx = if config.order_optimization {
-        a.props.ctx()
+    a.props
+        .dominates_under(&b.props, reasoning_ctx(config, &a.props))
+}
+
+/// The one place the order-optimization switch picks a reasoning
+/// context: the stream's own shared context when on, one process-wide
+/// trivial context (orders compare verbatim) when off.
+fn reasoning_ctx<'p>(config: &OptimizerConfig, props: &'p StreamProps) -> &'p OrderContext {
+    static TRIVIAL: LazyLock<OrderContext> = LazyLock::new(OrderContext::trivial);
+    if config.order_optimization {
+        props.ctx()
     } else {
-        OrderContext::trivial()
-    };
-    a.props.dominates_under(&b.props, &ctx)
+        &TRIVIAL
+    }
 }
 
 /// Short name of a box kind for trace spans.
@@ -1160,7 +1146,7 @@ mod tests {
                 if !std::ptr::eq(a, b) {
                     assert!(
                         !(a.cost.total <= b.cost.total
-                            && a.props.dominates_under(&b.props, &a.props.ctx())),
+                            && a.props.dominates_under(&b.props, a.props.ctx())),
                         "pruning left a dominated plan"
                     );
                 }

@@ -515,6 +515,10 @@ fn bind_aggregate_select(
         having_bound.push((pred.op, left, right));
     }
 
+    for (call, _, _) in &aggs {
+        check_agg_arg(graph, call)?;
+    }
+
     // Select box outputs: pass through every needed column.
     graph.boxed_mut(sel).output = needed.iter().map(OutputCol::passthrough).collect();
 
@@ -738,6 +742,32 @@ fn bind_having_expr(
             HavingExpr::AggRef(idx)
         }
     })
+}
+
+/// Rejects SUM/AVG over a bare column or literal of a non-numeric type:
+/// the accumulators add numbers only, so a string or date argument would
+/// silently yield 0 instead of an answer.
+fn check_agg_arg(graph: &QueryGraph, call: &AggCall) -> Result<()> {
+    if !matches!(call.func, fto_expr::AggFunc::Sum | fto_expr::AggFunc::Avg) {
+        return Ok(());
+    }
+    let (what, data_type) = match &call.arg {
+        Expr::Col(c) => (
+            format!("column '{}'", graph.registry.name(*c)),
+            Some(graph.registry.info(*c).data_type),
+        ),
+        Expr::Lit(v) => (format!("literal {v}"), v.data_type()),
+        Expr::Arith { .. } => return Ok(()),
+    };
+    match data_type {
+        Some(t @ (DataType::Str | DataType::Date | DataType::Bool)) => {
+            Err(FtoError::Semantic(format!(
+                "{}() needs a numeric argument; {what} is {t}",
+                call.func.name()
+            )))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Crude output typing for derived columns (display metadata only).

@@ -41,6 +41,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release
+
+    # benchmark/ is a Cargo package outside the workspace, so neither
+    # clippy nor the test suite compiles it: `cargo run` builds it against
+    # the engine as it stands, then runs one short traced workload, which
+    # checks every answer against the interpreter plus phase equivalence
+    # and count determinism, and exits non-zero on any failed check.
+    echo "==> benchmark of record: build + traced tpcd_q3 smoke"
+    bench_out=$(cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload tpcd_q3 --seed 5 --seconds 1 --trace 1) || {
+        echo "$bench_out"
+        echo "smoke failed: the benchmark did not build or reported a failed check"
+        exit 1
+    }
+    head -n 4 <<<"$bench_out"
 fi
 
 echo "==> sort-key codec property tests (encoded order == Value order)"

@@ -117,6 +117,55 @@ fn tpcd_workload_agrees_across_engines() {
 }
 
 #[test]
+fn integer_overflow_is_an_error_in_both_engines() {
+    let db = build_database(TpcdConfig {
+        scale: 0.001,
+        seed: 77,
+    })
+    .unwrap();
+    let max = i64::MAX;
+    // Overflow in a constant projection, a column projection, a filter
+    // and an aggregate argument.
+    let overflowing = [
+        format!("select {max} + 1 from region"),
+        format!("select r_regionkey * {max} from region"),
+        format!("select r_name from region where r_regionkey * {max} > 0"),
+        format!("select sum(l_orderkey * {max}) from lineitem"),
+        format!("select l_orderkey - {max} - {max} from lineitem where l_orderkey > 3"),
+    ];
+    let mut configs = all_configs();
+    configs.push(OptimizerConfig::default().with_batch_size(3));
+    for sql in &overflowing {
+        for config in configs.clone() {
+            let prepared = Session::new(&db)
+                .config(config.clone())
+                .plan(sql)
+                .unwrap_or_else(|e| panic!("{sql}\nunder {config:?}: {e}"));
+            for (engine, result) in [
+                ("streaming", prepared.execute()),
+                ("interpreter", prepared.execute_materialized()),
+            ] {
+                match result {
+                    Err(fto_common::FtoError::Exec(m)) if m.contains("overflow") => {}
+                    Err(e) => panic!("{sql}\n{engine} under {config:?}: wrong error {e}"),
+                    Ok(out) => panic!(
+                        "{sql}\n{engine} under {config:?}: returned {:?} instead of an error",
+                        out.rows().first()
+                    ),
+                }
+            }
+        }
+    }
+    // Rows a conjunct rejects never reach the overflowing one, in either
+    // engine: r_regionkey * max only fits for keys 0 and 1.
+    let guarded =
+        format!("select r_name from region where r_regionkey < 2 and r_regionkey * {max} > 0");
+    for config in configs {
+        assert_engines_agree(&db, &guarded, config);
+    }
+}
+
+#[test]
 fn distinct_on_encoded_keys_matches_value_comparison() {
     // The distinct operators dedup on arena-encoded key bytes (byte
     // equality standing in for Value equality, with the codec's

@@ -392,6 +392,39 @@ fn union_arity_mismatch_is_an_error() {
 }
 
 #[test]
+fn sum_and_avg_reject_non_numeric_arguments() {
+    let db = test_db();
+    for sql in [
+        "select sum(dept_name) from dept",
+        "select budget, avg(dept_name) from dept group by budget",
+        "select budget from dept group by budget having sum(dept_name) > 0",
+        "select sum('x') from dept",
+    ] {
+        match Session::new(&db).plan(sql) {
+            Err(fto_common::FtoError::Semantic(m)) => {
+                assert!(m.contains("numeric argument"), "{sql}: {m}")
+            }
+            Err(e) => panic!("{sql}: wrong error {e}"),
+            Ok(_) => panic!("{sql}: non-numeric SUM/AVG accepted"),
+        }
+    }
+    // MIN/MAX/COUNT over strings and SUM over numbers still bind.
+    let rows = run_all_configs(
+        &db,
+        "select min(dept_name), max(dept_name), count(dept_name), sum(budget) from dept",
+    );
+    assert_eq!(
+        rows[0].to_vec(),
+        vec![
+            Value::str("dept0"),
+            Value::str("dept9"),
+            Value::Int(12),
+            Value::Int(21_000)
+        ]
+    );
+}
+
+#[test]
 fn having_filters_groups() {
     let db = test_db();
     // 400 emps over 12 depts: dept 0..3 have 34 emps, 4..11 have 33.
